@@ -94,18 +94,11 @@ class MockBackend:
             f"/base={base_difficulty!r}/bonus={complementarity_bonus!r}"
         )
 
-    def _detect_subject(self, region: str) -> int:
-        """Earliest subject descriptor phrase in the region; 0 if none."""
+    @staticmethod
+    def _detect(phrases: dict, region: str) -> int:
+        """Value of the earliest descriptor phrase of the table in the region; 0 if none."""
         best_pos, best_value = len(region) + 1, 0
-        for raw_value, phrase in self.prompts.subject.items():
-            pos = region.find(phrase)
-            if pos >= 0 and pos < best_pos:
-                best_pos, best_value = pos, int(raw_value)
-        return best_value
-
-    def _detect_logic(self, region: str) -> int:
-        best_pos, best_value = len(region) + 1, 0
-        for raw_value, phrase in self.prompts.logic.items():
+        for raw_value, phrase in phrases.items():
             pos = region.find(phrase)
             if pos >= 0 and pos < best_pos:
                 best_pos, best_value = pos, int(raw_value)
@@ -132,11 +125,11 @@ class MockBackend:
         belief = mock_correct_label(stem, labels)
 
         role_region = prompt.split(p.question_header, 1)[0]
-        own_subject = self._detect_subject(role_region)
+        own_subject = self._detect(p.subject, role_region)
         partner_subject = 0
         if p.summary_header in prompt:
             summary_region = prompt.split(p.summary_header, 1)[1]
-            partner_subject = self._detect_subject(summary_region)
+            partner_subject = self._detect(p.subject, summary_region)
         complementary = 1 if own_subject * partner_subject == -1 else 0
 
         prob = self.base_difficulty + self.complementarity_bonus * complementary
@@ -152,8 +145,8 @@ class MockBackend:
     def _draft(self, prompt: str) -> str:
         p = self.prompts
         role_region = prompt.split(p.question_header, 1)[0]
-        subject = self._detect_subject(role_region)
-        logic = self._detect_logic(role_region)
+        subject = self._detect(p.subject, role_region)
+        logic = self._detect(p.logic, role_region)
         lines = ["Draft notes on the question."]
         if subject != 0 or p.subject_phrase(0) in role_region:
             lines.append(f"My angle comes from {p.subject_phrase(subject)}.")
@@ -167,7 +160,7 @@ class MockBackend:
         draft_region = prompt.split(p.partner_draft_header, 1)[1]
         if p.summary_task in draft_region:
             draft_region = draft_region.split(p.summary_task, 1)[0]
-        partner_subject = self._detect_subject(draft_region)
+        partner_subject = self._detect(p.subject, draft_region)
         lines = ["In short, my partner reasons carefully about the claims."]
         if any(phrase in draft_region for phrase in p.subject.values()):
             lines.append(f"Their view is grounded in {p.subject_phrase(partner_subject)}.")
@@ -220,7 +213,14 @@ class CachingBackend:
             return path.read_text("utf-8")
         reply = self.inner.complete(prompt, params)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(reply, "utf-8")
+        # a crash mid-write must not leave a truncated entry that replays as a hit
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(reply, "utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self.misses += 1
         return reply
 

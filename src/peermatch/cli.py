@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .backends import DecodeParams, LiveConfig
 from .corpus import (
@@ -16,6 +17,7 @@ from .corpus import (
     save_corpus,
 )
 from .harness import (
+    CONFIG_KEYS,
     ConfigError,
     VariantConfig,
     build_backend,
@@ -28,33 +30,19 @@ from .harness import (
 from .personas import Learner, Persona, default_prompts
 from .protocol import solve_exercise
 
-VARIANT_KEYS = {
-    "name",
-    "role_setting",
-    "co_learning",
-    "regressor",
-    "pareto",
-    "seed",
-    "backend",
-    "train_domains",
-    "mock_base_difficulty",
-    "mock_bonus",
-    "selection_rule",
-    "gain_baseline",
-}
 SUITE_KEYS = {"corpus", "seed", "backend", "train_domains", "mock", "live", "variants", "variant"}
 MOCK_KEYS = {"base_difficulty", "bonus"}
 LIVE_KEYS = {"base_url", "model", "token_env", "timeout_s"}
 
 
-def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+def _reject_unknown(mapping: dict, allowed: Iterable[str], where: str) -> None:
+    unknown = sorted(set(mapping).difference(allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {unknown}")
 
 
 def _variant_from_dict(raw: dict, shared: dict) -> VariantConfig:
-    _reject_unknown(raw, VARIANT_KEYS, f"variant {raw.get('name', '?')!r}")
+    _reject_unknown(raw, CONFIG_KEYS, f"variant {raw.get('name', '?')!r}")
     merged = {**shared, **raw}
     missing = [k for k in ("name", "role_setting", "co_learning") if k not in merged]
     if missing:
@@ -191,21 +179,12 @@ def _cmd_suite(args) -> int:
     else:
         raw = {}
     shared = _shared_from_config(raw, args)
-    seed = shared.get("seed", 0)
     if "variants" in raw:
-        base_shared = dict(shared)
-        base_shared.setdefault("seed", seed)
-        configs = [_variant_from_dict(v, base_shared) for v in raw["variants"]]
+        configs = [_variant_from_dict(v, shared) for v in raw["variants"]]
     else:
-        defaults: dict = dict(
-            seed=seed,
-            backend=shared.get("backend", "mock"),
-            mock_base_difficulty=shared.get("mock_base_difficulty", 0.4),
-            mock_bonus=shared.get("mock_bonus", 0.3),
-        )
-        if shared.get("train_domains"):
-            defaults["train_domains"] = shared["train_domains"]
-        configs = default_suite_configs(**defaults)
+        if not shared.get("train_domains"):
+            shared.pop("train_domains", None)  # an empty list keeps the default split
+        configs = default_suite_configs(**shared)
     corpus = _resolve_corpus(raw.get("corpus"))
     suite = run_suite(configs, corpus, out_dir=args.out, live=_live_from_config(raw))
     print(suite.gain_text)

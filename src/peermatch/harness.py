@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -128,20 +128,13 @@ class VariantConfig:
         )
 
     def echo(self) -> dict:
-        return {
-            "name": self.name,
-            "role_setting": self.role_setting,
-            "co_learning": self.co_learning,
-            "regressor": self.regressor,
-            "pareto": self.pareto,
-            "seed": self.seed,
-            "backend": self.backend,
-            "train_domains": list(self.train_domains),
-            "mock_base_difficulty": self.mock_base_difficulty,
-            "mock_bonus": self.mock_bonus,
-            "selection_rule": self.selection_rule,
-            "gain_baseline": self.gain_baseline,
-        }
+        out = {key: getattr(self, key) for key in CONFIG_KEYS}
+        out["train_domains"] = list(self.train_domains)
+        return out
+
+
+# Config-file and results.json keys: every field except the fit settings.
+CONFIG_KEYS = tuple(f.name for f in fields(VariantConfig) if f.name not in ("gp_fit", "nn_fit"))
 
 
 @dataclass(frozen=True)
@@ -252,20 +245,13 @@ def _accuracies(
     records: Iterable,
 ) -> dict[str, dict[str, float]]:
     category_of = {e.id: e.category for b in test_blocks for e in b.exercises}
-    per_learner: dict[str, dict[str, float]] = {}
-    by_learner: dict[str, list] = {l.id: [] for l in learners}
+    scores = {l.id: {c: [] for c in (*REQUIRED_TEST_CATEGORIES, "Total")} for l in learners}
     for rec in records:
-        by_learner[rec.learner_id].append(rec)
-    categories = [c for c in REQUIRED_TEST_CATEGORIES]
-    for learner in learners:
-        recs = by_learner[learner.id]
-        scores: dict[str, float] = {}
-        for category in categories:
-            cat_recs = [r for r in recs if category_of[r.exercise_id] == category]
-            scores[category] = sum(r.r for r in cat_recs) / len(cat_recs)
-        scores["Total"] = sum(r.r for r in recs) / len(recs)
-        per_learner[learner.id] = scores
-    return per_learner
+        by_key = scores[rec.learner_id]
+        by_key["Total"].append(rec.r)
+        if category_of[rec.exercise_id] in by_key:  # other categories count toward the total only
+            by_key[category_of[rec.exercise_id]].append(rec.r)
+    return {lid: {c: sum(rs) / len(rs) for c, rs in by_key.items()} for lid, by_key in scores.items()}
 
 
 def resolve_front(
@@ -280,8 +266,7 @@ def resolve_front(
         if candidates:
             return pareto_front(candidates, anchor=learner_id, mode="local"), False
         log.warning("learner %s has no interaction history; falling back to the global front", learner_id)
-        return pareto_front(global_vectors, anchor=learner_id, mode="global"), True
-    return pareto_front(global_vectors, anchor=learner_id, mode="global"), False
+    return pareto_front(global_vectors, anchor=learner_id, mode="global"), mode == "local"
 
 
 def run_variant(
@@ -296,7 +281,20 @@ def run_variant(
     cache_dir: str | Path | None = None,
     live: LiveConfig | None = None,
 ) -> RunResult:
-    """Run one variant end to end and compute per-learner accuracies."""
+    """Run one variant end to end and score its test phase per learner.
+
+    Variants differ only in the protocol jobs they build. A job is
+    ``(learner, partner, exercise)``; one executor runs each list in order,
+    answering alone (``solve_exercise``) when the partner is ``None`` and
+    running the pair protocol (``exchange_and_resolve``) otherwise.
+
+    - No co-learning: every learner answers every test exercise alone.
+    - Random pairing: a partner per test exercise from a seeded ``random.Random``.
+    - Matched: a train phase (solo answers on all blocks, then every ordered
+      pair on the train blocks) fits the gain regressor and each learner's
+      Pareto front; ``rank_candidates`` then picks one partner per
+      (learner, test block), and those pairs make the test jobs.
+    """
     cfg.validate()
     cohort = cohort or default_cohort()
     train_blocks, test_blocks = _split_blocks(cfg, corpus)
@@ -306,89 +304,57 @@ def run_variant(
     learners = [cohort[key] for key in sorted(cohort)]
     if len(learners) < 2 and cfg.co_learning:
         raise ConfigError(f"{cfg.name}: co-learning needs at least two learners")
+    out = Path(out_dir) if out_dir is not None else None
+    others = {l.id: [p for p in learners if p.id != l.id] for l in learners}
+    test_exercises = [e for b in test_blocks for e in b.exercises]
 
     transcript = _TranscriptLog(run_id=f"{cfg.name}@{cfg.seed}")
     train_solo: list[ResponseRecord] = []
     train_paired: list[PairedResponseRecord] = []
-    test_solo: list[ResponseRecord] = []
-    test_paired: list[PairedResponseRecord] = []
     selections: list[SelectionEvent] = []
     front_dumps: list[dict] = []
     lp_fallbacks = 0
     artifacts: dict[str, str] = {}
 
-    def params_for(learner: Learner, exercise: Exercise) -> DecodeParams:
-        return DecodeParams(seed=_decode_seed(learner.id, exercise.id))
+    def save_artifact(key: str, folder: str, suffix: str, save: Callable[[Path], None]) -> None:
+        rel = Path(folder) / f"{cfg.name}{suffix}"
+        save(out / rel)
+        artifacts[key] = str(rel)
+
+    def execute(jobs: Iterable[tuple[Learner, Learner | None, Exercise]]) -> list:
+        records = []
+        for learner, partner, exercise in jobs:
+            params = DecodeParams(seed=_decode_seed(learner.id, exercise.id))
+            if partner is None:
+                # the pair protocol always speaks through personas, so the
+                # solo answers a matched variant trains on do too
+                records.append(solve_exercise(
+                    learner, exercise, backend, params=params, prompts=prompts,
+                    use_persona=cfg.role_setting or cfg.co_learning,
+                    sink=transcript.sink(None, exercise.id),
+                ))
+            else:
+                records.append(exchange_and_resolve(
+                    learner, partner, exercise, backend, params=params, prompts=prompts,
+                    sink=transcript.sink(partner.id, exercise.id),
+                ))
+        return records
 
     if not cfg.co_learning:
-        for learner in learners:
-            for block in test_blocks:
-                for exercise in block.exercises:
-                    test_solo.append(
-                        solve_exercise(
-                            learner,
-                            exercise,
-                            backend,
-                            params=params_for(learner, exercise),
-                            prompts=prompts,
-                            use_persona=cfg.role_setting,
-                            sink=transcript.sink(None, exercise.id),
-                        )
-                    )
-        scored_records: Iterable = test_solo
+        test_jobs = [(l, None, e) for l in learners for e in test_exercises]
     elif cfg.regressor == "none":
         # keyed on the seed alone so a full config degraded to random pairing
         # reproduces the canonical random-pairing variant exactly
         rng = random.Random(stable_u64("pairing", str(cfg.seed)))
-        for learner in learners:
-            others = [l for l in learners if l.id != learner.id]
-            for block in test_blocks:
-                for exercise in block.exercises:
-                    partner = others[rng.randrange(len(others))]
-                    test_paired.append(
-                        exchange_and_resolve(
-                            learner,
-                            partner,
-                            exercise,
-                            backend,
-                            params=params_for(learner, exercise),
-                            prompts=prompts,
-                            sink=transcript.sink(partner.id, exercise.id),
-                        )
-                    )
-        scored_records = test_paired
+        test_jobs = [
+            (l, others[l.id][rng.randrange(len(others[l.id]))], e) for l in learners for e in test_exercises
+        ]
     else:
         all_blocks = train_blocks + test_blocks
-        for learner in learners:
-            for block in all_blocks:
-                for exercise in block.exercises:
-                    train_solo.append(
-                        solve_exercise(
-                            learner,
-                            exercise,
-                            backend,
-                            params=params_for(learner, exercise),
-                            prompts=prompts,
-                            sink=transcript.sink(None, exercise.id),
-                        )
-                    )
-        for learner in learners:
-            for partner in learners:
-                if partner.id == learner.id:
-                    continue
-                for block in train_blocks:
-                    for exercise in block.exercises:
-                        train_paired.append(
-                            exchange_and_resolve(
-                                learner,
-                                partner,
-                                exercise,
-                                backend,
-                                params=params_for(learner, exercise),
-                                prompts=prompts,
-                                sink=transcript.sink(partner.id, exercise.id),
-                            )
-                        )
+        train_solo = execute((l, None, e) for l in learners for b in all_blocks for e in b.exercises)
+        train_paired = execute(
+            (l, p, e) for l in learners for p in others[l.id] for b in train_blocks for e in b.exercises
+        )
 
         samples = build_dataset(cohort, train_blocks, train_paired, train_solo, emb, cfg.gain_baseline)
         X, y = dataset_arrays(samples)
@@ -396,71 +362,45 @@ def run_variant(
             fitted = GpRegressor(replace(cfg.gp_fit, seed=cfg.seed)).fit(X, y)
         else:
             fitted = MlpRegressor(replace(cfg.nn_fit, seed=cfg.seed)).fit(X, y)
-        if out_dir is not None:
-            model_path = Path(out_dir) / "models" / f"{cfg.name}.json"
-            fitted.save(model_path)
-            artifacts["model"] = str(Path("models") / f"{cfg.name}.json")
+        if out is not None:
+            save_artifact("model", "models", ".json", fitted.save)
 
         global_vectors = [score_vector(l.id, train_solo, all_blocks) for l in learners]
         subject_of = {l.id: l.persona.subject_pref for l in learners}
-        fronts: dict[str, ParetoFront] = {}
+        test_jobs = []
         for learner in learners:
             front, fell_back = resolve_front(learner.id, train_paired, global_vectors, cfg.pareto)
-            fronts[learner.id] = front
             lp_fallbacks += int(fell_back)
-
-        for learner in learners:
             for block in test_blocks:
-                front = fronts[learner.id]
                 scored = rank_candidates(learner, front, fitted, block, emb, cohort, cfg.selection_rule)
-                partner_id = scored[0].learner_id
-                dump = dump_front(front, scored)
-                dump.update({"domain": block.domain, "chosen": partner_id})
-                front_dumps.append(dump)
-                partner = cohort[partner_id]
+                partner = cohort[scored[0].learner_id]
+                front_dumps.append({**dump_front(front, scored), "domain": block.domain, "chosen": partner.id})
                 for exercise in block.exercises:
-                    selections.append(
-                        SelectionEvent(
-                            learner_id=learner.id,
-                            partner_id=partner_id,
-                            domain=block.domain,
-                            exercise_id=exercise.id,
-                            anchor_subject=subject_of[learner.id],
-                            partner_subject=subject_of[partner_id],
-                        )
-                    )
-                    test_paired.append(
-                        exchange_and_resolve(
-                            learner,
-                            partner,
-                            exercise,
-                            backend,
-                            params=params_for(learner, exercise),
-                            prompts=prompts,
-                            sink=transcript.sink(partner_id, exercise.id),
-                        )
-                    )
-        scored_records = test_paired
+                    selections.append(SelectionEvent(
+                        learner_id=learner.id,
+                        partner_id=partner.id,
+                        domain=block.domain,
+                        exercise_id=exercise.id,
+                        anchor_subject=subject_of[learner.id],
+                        partner_subject=subject_of[partner.id],
+                    ))
+                    test_jobs.append((learner, partner, exercise))
 
-    per_learner = _accuracies(learners, test_blocks, scored_records)
+    test_records = execute(test_jobs)
+    per_learner = _accuracies(learners, test_blocks, test_records)
 
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        transcript_rel = Path("transcripts") / f"{cfg.name}.jsonl"
-        transcript.save(out_dir / transcript_rel)
-        artifacts["transcript"] = str(transcript_rel)
+    if out is not None:
+        save_artifact("transcript", "transcripts", ".jsonl", transcript.save)
         if front_dumps:
-            fronts_rel = Path("fronts") / f"{cfg.name}.json"
-            save_front_dumps(front_dumps, out_dir / fronts_rel)
-            artifacts["fronts"] = str(fronts_rel)
+            save_artifact("fronts", "fronts", ".json", lambda path: save_front_dumps(front_dumps, path))
 
     return RunResult(
         config=cfg,
         per_learner=per_learner,
         train_solo=tuple(train_solo),
         train_paired=tuple(train_paired),
-        test_solo=tuple(test_solo),
-        test_paired=tuple(test_paired),
+        test_solo=() if cfg.co_learning else tuple(test_records),
+        test_paired=tuple(test_records) if cfg.co_learning else (),
         selections=tuple(selections),
         lp_fallbacks=lp_fallbacks,
         artifacts=artifacts,
@@ -546,7 +486,11 @@ def run_suite(
                 run_variant(cfg, corpus, cohort, out_dir=out_dir, cache_dir=cache_dir, live=live)
             )
         except Exception as exc:
-            raise type(exc)(f"variant {cfg.name!r}: {exc}") from exc
+            # re-raise the same object: rebuilding it would drop attributes
+            # such as TransportError.step and fails for richer constructors
+            head = exc.args[0] if exc.args else ""
+            exc.args = (f"variant {cfg.name!r}: {head}", *exc.args[1:])
+            raise
 
     table = build_table([(res.config.name, res.stats()) for res in results])
     gain_text = gain_report(table, baseline)
@@ -554,11 +498,7 @@ def run_suite(
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_category_table_csv(table, out_dir / "category_table.csv")
-        write_category_table_text(table, out_dir / "category_table.txt")
-        rows = [res.config.component_flags() for res in results]
-        write_component_table_csv(rows, table, baseline, out_dir / "component_table.csv")
-        write_component_table_text(rows, table, baseline, out_dir / "component_table.txt")
+        _write_reports(out_dir, table, [res.config.component_flags() for res in results], baseline)
         payload = {
             "baseline": baseline,
             "variants": [
@@ -592,26 +532,26 @@ def run_suite(
     )
 
 
+def _write_reports(
+    out_dir: Path,
+    table: MetricsTable,
+    rows: Sequence[tuple[str, bool, bool, bool, bool]],
+    baseline: str,
+) -> None:
+    """The category and component tables, each as CSV and as aligned text."""
+    write_category_table_csv(table, out_dir / "category_table.csv")
+    write_category_table_text(table, out_dir / "category_table.txt")
+    write_component_table_csv(rows, table, baseline, out_dir / "component_table.csv")
+    write_component_table_text(rows, table, baseline, out_dir / "component_table.txt")
+
+
 def rerender_reports(out_dir: str | Path) -> None:
     """Rebuild the report files from a stored results.json."""
     out_dir = Path(out_dir)
     payload = json.loads((out_dir / "results.json").read_text("utf-8"))
-    rows = []
-    flag_rows = []
-    for entry in payload["variants"]:
-        cfg = entry["config"]
-        rows.append((cfg["name"], compute_metrics(entry["per_learner"])))
-        flag_rows.append(
-            (
-                cfg["name"],
-                cfg["role_setting"],
-                cfg["co_learning"],
-                cfg["regressor"] == "gp",
-                cfg["pareto"] != "none",
-            )
-        )
-    table = build_table(rows)
-    write_category_table_csv(table, out_dir / "category_table.csv")
-    write_category_table_text(table, out_dir / "category_table.txt")
-    write_component_table_csv(flag_rows, table, payload["baseline"], out_dir / "component_table.csv")
-    write_component_table_text(flag_rows, table, payload["baseline"], out_dir / "component_table.txt")
+    variants = payload["variants"]
+    configs = [
+        VariantConfig(**{**v["config"], "train_domains": tuple(v["config"]["train_domains"])}) for v in variants
+    ]
+    table = build_table([(cfg.name, compute_metrics(v["per_learner"])) for cfg, v in zip(configs, variants)])
+    _write_reports(out_dir, table, [cfg.component_flags() for cfg in configs], payload["baseline"])

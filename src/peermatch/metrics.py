@@ -8,7 +8,7 @@ total accuracy in percent together with its gain over the baseline row.
 from __future__ import annotations
 
 import csv
-import math
+import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -47,9 +47,9 @@ def compute_metrics(per_learner: Mapping[str, Mapping[str, float]]) -> dict[str,
     out: dict[str, Stats] = {}
     for category in categories:
         values = [per_learner[lid][category] for lid in learners]
-        mean = sum(values) / len(values)
-        std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-        out[category] = Stats(mean=mean, best=max(values), std=std)
+        # correctly rounded: the mean never exceeds the max, and a tiny
+        # spread does not underflow to a zero std
+        out[category] = Stats(mean=statistics.mean(values), best=max(values), std=statistics.pstdev(values))
     return out
 
 

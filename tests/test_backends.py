@@ -1,6 +1,7 @@
 import io
 import json
 import urllib.error
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +110,25 @@ def test_cache_distinguishes_inner_backends(tmp_path):
     second = CachingBackend(other_inner, tmp_path / "cache")
     second.complete("prompt", DecodeParams())
     assert other_inner.calls == 1
+
+
+def test_cache_write_failure_leaves_no_entry(tmp_path, monkeypatch):
+    inner = CountingBackend(reply="Answer: B, after a long deliberation")
+    cache = CachingBackend(inner, tmp_path / "cache")
+    real_write_text = Path.write_text
+
+    def torn_write_text(self, data, *args, **kwargs):
+        real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", torn_write_text)
+    with pytest.raises(OSError, match="disk full"):
+        cache.complete("prompt", DecodeParams())
+    monkeypatch.undo()
+    assert [p for p in (tmp_path / "cache").rglob("*") if p.is_file()] == []
+    assert cache.complete("prompt", DecodeParams()) == inner.reply
+    assert inner.calls == 2
+    assert cache.hits == 0
 
 
 def test_function_backend_passthrough():

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import logging
+from dataclasses import replace
 
 import pytest
 
+from peermatch import harness
+from peermatch.backends import FunctionBackend, MockBackend, TransportError
 from peermatch.corpus import make_synthetic_corpus
 from peermatch.gp import GpFitConfig
 from peermatch.harness import (
@@ -275,6 +279,31 @@ class TestSuite:
         with pytest.raises(ConfigError, match="broken"):
             run_suite(configs + [bad], small_corpus())
 
+    def test_suite_error_is_reraised_with_its_attributes(self, monkeypatch, prompts):
+        mock = MockBackend(seed=3)
+
+        def drop_summaries(prompt, params):
+            if prompts.partner_draft_header in prompt:
+                raise TransportError("endpoint dropped the connection")
+            return mock.complete(prompt, params)
+
+        monkeypatch.setattr(harness, "build_backend", lambda *a, **kw: FunctionBackend(drop_summaries))
+        configs = [cfg_with("random-pair"), self._tiny_configs()[0]]
+        with pytest.raises(TransportError) as info:
+            run_suite(configs, small_corpus())
+        assert info.value.step == 3
+        assert str(info.value) == "variant 'random-pair': endpoint dropped the connection"
+
+    def test_suite_reraises_exceptions_with_richer_constructors(self, monkeypatch):
+        def undecodable(prompt, params):
+            return b"\xff".decode("utf-8")
+
+        monkeypatch.setattr(harness, "build_backend", lambda *a, **kw: FunctionBackend(undecodable))
+        with pytest.raises(UnicodeDecodeError) as info:
+            run_suite(self._tiny_configs(), small_corpus())
+        assert info.value.args[0].startswith("variant 'baseline': ")
+        assert info.value.object == b"\xff"
+
     def test_rerender_matches_original(self, tmp_path):
         run_suite(self._tiny_configs(), small_corpus(), out_dir=tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.glob("*_table.*")}
@@ -305,3 +334,26 @@ def test_default_corpus_shape():
     assert len(corpus) == 60
     categories = {e.category for e in corpus}
     assert categories == {"STEM", "Social Science", "Humanities"}
+
+
+# SHA-256 of the first ``lines`` transcript lines run_variant writes for the
+# default synthetic corpus and suite configs at seed 42. None of these bytes
+# depends on a fitted model, so they hold at any BLAS thread count; for
+# gp-global they cover the train phase, which every matched variant shares.
+TRANSCRIPT_DIGESTS = {
+    "baseline": (270, True, "85d677e5304555686e75664d341c7d0b253738831a6ab6b3dd3bc6ebe5bb2fd5"),
+    "solo": (270, True, "9cc72d83ba5ed8862542b569c99a6b2ba3ca6cfc5a947d1185f01cdc13bce098"),
+    "random-pair": (1080, True, "39ee5bf08b3733e9443ae33c53dec88c4a4b9e3222715d70db7d390d8fca549c"),
+    "gp-global": (9180, False, "87cf1db5d94a339088997f8d4ca68ac891ab4df705c9726a78c92515d70836ad"),
+}
+
+
+@pytest.mark.parametrize("name", list(TRANSCRIPT_DIGESTS))
+def test_transcript_bytes_match_recorded_digests(name, tmp_path):
+    n_lines, whole, digest = TRANSCRIPT_DIGESTS[name]
+    cfg = next(c for c in default_suite_configs(seed=42) if c.name == name)
+    res = run_variant(replace(cfg, gp_fit=FAST_GP), default_synthetic_corpus(), out_dir=tmp_path)
+    lines = (tmp_path / res.artifacts["transcript"]).read_bytes().splitlines(keepends=True)
+    if whole:
+        assert len(lines) == n_lines
+    assert hashlib.sha256(b"".join(lines[:n_lines])).hexdigest() == digest

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from peermatch.metrics import (
@@ -51,6 +51,8 @@ def test_inconsistent_categories_rejected():
 
 
 @given(st.lists(st.floats(0, 1), min_size=1, max_size=30))
+@example([0.09936503945925382] * 3)  # a naive sum/len lands one ulp above the max
+@example([0.0, 3.7e-213])  # squared deviations underflow to a zero std
 def test_metric_identities(values):
     stats = compute_metrics(_per_learner(values))["Total"]
     assert stats.best >= stats.mean >= 0.0
