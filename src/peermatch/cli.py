@@ -5,10 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Iterable
 
-from .backends import DecodeParams, LiveConfig
+from .backends import DecodeParams, LiveConfig, TransportError
 from .corpus import (
     difficulty_profile,
     fixture_corpus_path,
@@ -32,7 +33,7 @@ from .protocol import solve_exercise
 
 SUITE_KEYS = {"corpus", "seed", "backend", "train_domains", "mock", "live", "variants", "variant"}
 MOCK_KEYS = {"base_difficulty", "bonus"}
-LIVE_KEYS = {"base_url", "model", "token_env", "timeout_s"}
+LIVE_KEYS = tuple(f.name for f in fields(LiveConfig))
 
 
 def _reject_unknown(mapping: dict, allowed: Iterable[str], where: str) -> None:
@@ -60,6 +61,9 @@ def _load_config_file(path: str) -> dict:
         _reject_unknown(raw["mock"], MOCK_KEYS, f"{path}: mock")
     if "live" in raw:
         _reject_unknown(raw["live"], LIVE_KEYS, f"{path}: live")
+        missing = [f.name for f in fields(LiveConfig) if f.default is MISSING and f.name not in raw["live"]]
+        if missing:
+            raise ConfigError(f"{path}: live: missing key(s) {missing}")
     return raw
 
 
@@ -216,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--repeats", type=int, default=10)
     p_profile.add_argument("--threshold", type=float, default=0.6)
     p_profile.add_argument("--seed", type=int, default=None)
-    p_profile.add_argument("--backend", choices=("mock", "cache", "live"), default=None)
+    p_profile.add_argument("--backend", choices=("mock", "cache"), default=None)
     p_profile.add_argument("--out", required=True)
     p_profile.set_defaults(fn=_cmd_profile)
 
@@ -246,7 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, FileNotFoundError, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

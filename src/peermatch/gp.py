@@ -22,6 +22,9 @@ from scipy.linalg import cho_solve, solve_triangular
 
 SNAPSHOT_FORMAT = "gp-snapshot/1"
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+STEP0 = 0.1  # first ascent step, in log-parameter space
+STEP_GROWTH = 1.3  # factor an accepted step grows by
+MAX_HALVINGS = 30  # step halvings tried before a start stops
 
 
 class FitError(RuntimeError):
@@ -73,20 +76,17 @@ def pairwise_sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def rbf(xi: np.ndarray, xj: np.ndarray, params: KernelParams) -> float:
-    """Kernel value for one pair of points; symmetric, in (0, signal_variance]."""
-    xi = np.asarray(xi, dtype=np.float64)
-    xj = np.asarray(xj, dtype=np.float64)
-    if xi.shape != xj.shape:
-        raise ValueError(f"dimension mismatch: {xi.shape} vs {xj.shape}")
-    d2 = float(np.sum((xi - xj) ** 2))
-    return params.signal_variance * math.exp(-d2 / (2.0 * params.lengthscale**2))
-
-
 def _kernel_matrix(D2: np.ndarray, params: KernelParams) -> np.ndarray:
     """Noise-free kernel matrix from precomputed squared distances."""
     K = params.signal_variance * np.exp(-D2 / (2.0 * params.lengthscale**2))
     np.fill_diagonal(K, params.signal_variance)
+    return K
+
+
+def _add_to_diagonal(K: np.ndarray, value: float) -> np.ndarray:
+    """Copy of K with ``value`` added to every diagonal entry."""
+    K = K.copy()
+    K[np.diag_indices_from(K)] += value
     return K
 
 
@@ -97,29 +97,28 @@ def covariance_matrix(X: np.ndarray, params: KernelParams) -> np.ndarray:
         raise ValueError(f"X must be a non-empty 2-D array, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains non-finite entries")
-    K = _kernel_matrix(pairwise_sqdist(X, X), params)
-    K[np.diag_indices_from(K)] += params.noise_variance
-    return K
+    return _add_to_diagonal(_kernel_matrix(pairwise_sqdist(X, X), params), params.noise_variance)
 
 
-def _cholesky_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower factor of K, escalating diagonal jitter on failure; never silent."""
-    for jitter in JITTER_LADDER:
+def _factor(K: np.ndarray, y: np.ndarray, ladder: tuple[float, ...] = JITTER_LADDER):
+    """Factor the noisy covariance K and score y under it; returns (L, jitter, alpha, mll).
+
+    Diagonal jitter escalates along ``ladder`` until the Cholesky factor
+    exists, and raises rather than go past its end. alpha = K^-1 y, and mll
+    is the log marginal likelihood of GPML (Rasmussen & Williams 2006)
+    Alg. 2.1.
+    """
+    for jitter in ladder:
         try:
-            if jitter == 0.0:
-                return np.linalg.cholesky(K), 0.0
-            return np.linalg.cholesky(K + jitter * np.eye(K.shape[0])), jitter
+            L = np.linalg.cholesky(_add_to_diagonal(K, jitter) if jitter else K)
+            break
         except np.linalg.LinAlgError:
             continue
-    raise SingularMatrixError(
-        f"covariance not positive definite even with jitter {JITTER_LADDER[-1]!r}"
-    )
-
-
-def _mll_from_chol(L: np.ndarray, y: np.ndarray) -> float:
+    else:
+        raise SingularMatrixError(f"covariance not positive definite even with jitter {ladder[-1]!r}")
     alpha = cho_solve((L, True), y)
-    n = y.shape[0]
-    return float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * n * math.log(2.0 * math.pi))
+    mll = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
+    return L, jitter, alpha, mll
 
 
 def log_marginal_likelihood(X: np.ndarray, y: np.ndarray, params: KernelParams) -> float:
@@ -128,8 +127,7 @@ def log_marginal_likelihood(X: np.ndarray, y: np.ndarray, params: KernelParams) 
     K = covariance_matrix(X, params)
     if y.shape != (K.shape[0],):
         raise ValueError(f"y has shape {y.shape}, expected ({K.shape[0]},)")
-    L, _ = _cholesky_with_jitter(K)
-    return _mll_from_chol(L, y)
+    return _factor(K, y)[3]
 
 
 def _mll_and_grad(D2: np.ndarray, y: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -140,13 +138,9 @@ def _mll_and_grad(D2: np.ndarray, y: np.ndarray, theta: np.ndarray) -> tuple[flo
     """
     params = KernelParams.from_log_vector(theta)
     Krbf = _kernel_matrix(D2, params)
-    Kn = Krbf + params.noise_variance * np.eye(D2.shape[0])
-    L, _ = _cholesky_with_jitter(Kn)
-    alpha = cho_solve((L, True), y)
-    n = y.shape[0]
-    value = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * n * math.log(2.0 * math.pi))
+    L, _, alpha, value = _factor(_add_to_diagonal(Krbf, params.noise_variance), y)
 
-    Kinv = cho_solve((L, True), np.eye(n))
+    Kinv = cho_solve((L, True), np.eye(y.shape[0]))
     W = np.outer(alpha, alpha) - Kinv
     d_sf2 = Krbf
     d_ls = Krbf * (D2 / params.lengthscale**2)
@@ -173,9 +167,10 @@ class GpFitConfig:
     """Gradient-ascent settings for hyperparameter fitting.
 
     ``restarts`` extra starting points are drawn log-uniform in [e^-2, e^2]
-    per parameter, on top of the explicit ``init``. Ascent accepts a step
-    only if it improves the objective, halving the step until it does, and
-    stops once the improvement drops below ``tol``.
+    per parameter, on top of the explicit ``init``. Ascent starts at step
+    ``STEP0``, accepts a step only if it improves the objective (halving it
+    up to ``MAX_HALVINGS`` times), grows an accepted step by ``STEP_GROWTH``,
+    and stops once the improvement drops below ``tol``.
     """
 
     restarts: int = 3
@@ -183,14 +178,11 @@ class GpFitConfig:
     tol: float = 1e-7
     init: tuple[float, float, float] = (1.0, 1.0, 0.1)
     seed: int = 0
-    step0: float = 0.1
-    step_growth: float = 1.3
-    max_halvings: int = 30
     trace: bool = False
 
 
 @dataclass(frozen=True, eq=False)
-class GpModel:
+class FittedGp:
     """A fitted GP: data, hyperparameters, and the cached factorization."""
 
     X: np.ndarray
@@ -202,13 +194,38 @@ class GpModel:
     mll: float
     trace: tuple[tuple[float, ...], ...] = field(default=())
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
+    def predict(self, x_star: np.ndarray) -> Prediction:
+        """Posterior mean and variance at a query point.
 
-    @property
-    def dim(self) -> int:
-        return self.X.shape[1]
+        mean = k*^T alpha with zero prior mean; variance =
+        k(x*, x*) - k*^T (K + noise I)^-1 k* + noise, computed through the
+        cached triangular factor.
+        """
+        x_star = np.asarray(x_star, dtype=np.float64)
+        if x_star.shape != (self.X.shape[1],):
+            raise ValueError(f"query has shape {x_star.shape}, expected ({self.X.shape[1]},)")
+        p = self.params
+        d2 = np.sum((self.X - x_star) ** 2, axis=1)
+        k_star = p.signal_variance * np.exp(-d2 / (2.0 * p.lengthscale**2))
+        mean = float(k_star @ self.alpha)
+        v = solve_triangular(self.L, k_star, lower=True)
+        variance = float(p.signal_variance - v @ v + p.noise_variance)
+        return Prediction(mean=mean, variance=variance)
+
+    def save(self, path: str | Path) -> None:
+        """Snapshot to structured text; reloading reproduces predictions exactly."""
+        payload = {
+            "format": SNAPSHOT_FORMAT,
+            "log_params": [repr(float(v)) for v in self.params.log_vector()],
+            "n": self.X.shape[0],
+            "d": self.X.shape[1],
+            "jitter": repr(float(self.jitter)),
+            "x": [[repr(float(v)) for v in row] for row in self.X],
+            "y": [repr(float(v)) for v in self.y],
+        }
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload, indent=1), "utf-8")
 
 
 def _ascend(D2, y, theta0, config: GpFitConfig):
@@ -219,14 +236,14 @@ def _ascend(D2, y, theta0, config: GpFitConfig):
     except SingularMatrixError:
         return -np.inf, theta, []
     path = [(value, *theta)] if config.trace else []
-    step = config.step0
+    step = STEP0
     for _ in range(config.max_iters):
         gnorm = float(np.linalg.norm(grad))
         if gnorm == 0.0 or not math.isfinite(gnorm):
             break
         s = step
         accepted = False
-        for _ in range(config.max_halvings):
+        for _ in range(MAX_HALVINGS):
             trial = theta + s * grad
             try:
                 trial_value, trial_grad = _mll_and_grad(D2, y, trial)
@@ -235,7 +252,7 @@ def _ascend(D2, y, theta0, config: GpFitConfig):
             if math.isfinite(trial_value) and trial_value > value:
                 improvement = trial_value - value
                 theta, value, grad = trial, trial_value, trial_grad
-                step = min(s * config.step_growth, 10.0)
+                step = min(s * STEP_GROWTH, 10.0)
                 accepted = True
                 break
             s *= 0.5
@@ -248,7 +265,7 @@ def _ascend(D2, y, theta0, config: GpFitConfig):
     return value, theta, path
 
 
-def fit_gp(X: np.ndarray, y: np.ndarray, config: GpFitConfig = GpFitConfig()) -> GpModel:
+def fit_gp(X: np.ndarray, y: np.ndarray, config: GpFitConfig = GpFitConfig()) -> FittedGp:
     """Fit hyperparameters by maximum log marginal likelihood.
 
     Runs ascent from the configured init plus ``restarts`` seeded draws and
@@ -278,11 +295,8 @@ def fit_gp(X: np.ndarray, y: np.ndarray, config: GpFitConfig = GpFitConfig()) ->
         raise FitError("all restarts diverged to a non-finite objective")
 
     params = KernelParams.from_log_vector(best_theta)
-    K = _kernel_matrix(D2, params)
-    K[np.diag_indices_from(K)] += params.noise_variance
-    L, jitter = _cholesky_with_jitter(K)
-    alpha = cho_solve((L, True), y)
-    return GpModel(
+    L, jitter, alpha, _ = _factor(_add_to_diagonal(_kernel_matrix(D2, params), params.noise_variance), y)
+    return FittedGp(
         X=X.copy(),
         y=y.copy(),
         params=params,
@@ -294,42 +308,8 @@ def fit_gp(X: np.ndarray, y: np.ndarray, config: GpFitConfig = GpFitConfig()) ->
     )
 
 
-def predict(model: GpModel, x_star: np.ndarray) -> Prediction:
-    """Posterior mean and variance at a query point.
-
-    mean = k*^T alpha with zero prior mean; variance =
-    k(x*, x*) - k*^T (K + noise I)^-1 k* + noise, computed through the
-    cached triangular factor.
-    """
-    x_star = np.asarray(x_star, dtype=np.float64)
-    if x_star.shape != (model.dim,):
-        raise ValueError(f"query has shape {x_star.shape}, expected ({model.dim},)")
-    p = model.params
-    d2 = np.sum((model.X - x_star) ** 2, axis=1)
-    k_star = p.signal_variance * np.exp(-d2 / (2.0 * p.lengthscale**2))
-    mean = float(k_star @ model.alpha)
-    v = solve_triangular(model.L, k_star, lower=True)
-    variance = float(p.signal_variance - v @ v + p.noise_variance)
-    return Prediction(mean=mean, variance=variance)
-
-
-def save_model(model: GpModel, path: str | Path) -> None:
-    """Snapshot to structured text; reloading reproduces predictions exactly."""
-    payload = {
-        "format": SNAPSHOT_FORMAT,
-        "log_params": [repr(float(v)) for v in model.params.log_vector()],
-        "n": model.n,
-        "d": model.dim,
-        "jitter": repr(float(model.jitter)),
-        "x": [[repr(float(v)) for v in row] for row in model.X],
-        "y": [repr(float(v)) for v in model.y],
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1), "utf-8")
-
-
-def load_model(path: str | Path) -> GpModel:
+def load_model(path: str | Path) -> FittedGp:
+    """Rebuild a saved snapshot, factoring at exactly its stored jitter."""
     payload = json.loads(Path(path).read_text("utf-8"))
     if payload.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"unsupported snapshot format {payload.get('format')!r}")
@@ -338,33 +318,13 @@ def load_model(path: str | Path) -> GpModel:
         payload["n"], payload["d"]
     )
     y = np.array([float(v) for v in payload["y"]], dtype=np.float64)
-    K = covariance_matrix(X, params)
-    jitter = float(payload["jitter"])
-    if jitter:
-        K[np.diag_indices_from(K)] += jitter
-    L = np.linalg.cholesky(K)
-    alpha = cho_solve((L, True), y)
-    return GpModel(X=X, y=y, params=params, L=L, alpha=alpha, jitter=jitter, mll=_mll_from_chol(L, y))
-
-
-class FittedGp:
-    """Regressor-interface adapter over a GpModel."""
-
-    def __init__(self, model: GpModel):
-        self.model = model
-
-    def predict(self, x: np.ndarray) -> Prediction:
-        return predict(self.model, x)
-
-    def save(self, path: str | Path) -> None:
-        save_model(self.model, path)
+    L, jitter, alpha, mll = _factor(covariance_matrix(X, params), y, ladder=(float(payload["jitter"]),))
+    return FittedGp(X=X, y=y, params=params, L=L, alpha=alpha, jitter=jitter, mll=mll)
 
 
 class GpRegressor:
-    kind = "gp"
-
     def __init__(self, config: GpFitConfig = GpFitConfig()):
         self.config = config
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> FittedGp:
-        return FittedGp(fit_gp(X, y, self.config))
+        return fit_gp(X, y, self.config)

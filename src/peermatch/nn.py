@@ -25,15 +25,37 @@ class MlpConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class MlpModel:
+class FittedMlp:
+    """Trained weights of the one-hidden-layer network and its last training loss."""
+
     W1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: float
     final_loss: float
 
+    def predict(self, x: np.ndarray) -> Prediction:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.W1.shape[0],):
+            raise ValueError(f"query has shape {x.shape}, expected ({self.W1.shape[0]},)")
+        h = np.tanh(x @ self.W1 + self.b1)
+        return Prediction(mean=float(h @ self.w2 + self.b2), variance=0.0)
 
-def fit_mlp(X: np.ndarray, y: np.ndarray, config: MlpConfig = MlpConfig()) -> MlpModel:
+    def save(self, path: str | Path) -> None:
+        payload = {
+            "format": "mlp-snapshot/1",
+            "W1": self.W1.tolist(),
+            "b1": self.b1.tolist(),
+            "w2": self.w2.tolist(),
+            "b2": self.b2,
+            "final_loss": self.final_loss,
+        }
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload), "utf-8")
+
+
+def fit_mlp(X: np.ndarray, y: np.ndarray, config: MlpConfig = MlpConfig()) -> FittedMlp:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -66,47 +88,12 @@ def fit_mlp(X: np.ndarray, y: np.ndarray, config: MlpConfig = MlpConfig()) -> Ml
         b1 -= lr * grad_b1
         w2 -= lr * grad_w2
         b2 -= lr * grad_b2
-    return MlpModel(W1=W1, b1=b1, w2=w2, b2=b2, final_loss=loss)
-
-
-def predict_mlp(model: MlpModel, x: np.ndarray) -> Prediction:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.W1.shape[0],):
-        raise ValueError(f"query has shape {x.shape}, expected ({model.W1.shape[0]},)")
-    h = np.tanh(x @ model.W1 + model.b1)
-    return Prediction(mean=float(h @ model.w2 + model.b2), variance=0.0)
-
-
-def save_mlp(model: MlpModel, path: str | Path) -> None:
-    payload = {
-        "format": "mlp-snapshot/1",
-        "W1": model.W1.tolist(),
-        "b1": model.b1.tolist(),
-        "w2": model.w2.tolist(),
-        "b2": model.b2,
-        "final_loss": model.final_loss,
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload), "utf-8")
-
-
-class FittedMlp:
-    def __init__(self, model: MlpModel):
-        self.model = model
-
-    def predict(self, x: np.ndarray) -> Prediction:
-        return predict_mlp(self.model, x)
-
-    def save(self, path: str | Path) -> None:
-        save_mlp(self.model, path)
+    return FittedMlp(W1=W1, b1=b1, w2=w2, b2=b2, final_loss=loss)
 
 
 class MlpRegressor:
-    kind = "nn"
-
     def __init__(self, config: MlpConfig = MlpConfig()):
         self.config = config
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> FittedMlp:
-        return FittedMlp(fit_mlp(X, y, self.config))
+        return fit_mlp(X, y, self.config)

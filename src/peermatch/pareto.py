@@ -205,23 +205,6 @@ def rank_candidates(
     return scored
 
 
-def select_partner(
-    learner: Learner,
-    front: ParetoFront,
-    regressor: FittedRegressor,
-    block: ExerciseBlock,
-    emb: EmbeddingProvider,
-    cohort: Mapping[str, Learner],
-    rule: str = "mean",
-) -> str:
-    """Front member with the highest predicted value; never the learner itself."""
-    if not front.members:
-        raise EmptyCandidatesError("front is empty")
-    best = rank_candidates(learner, front, regressor, block, emb, cohort, rule)[0]
-    assert best.learner_id != learner.id
-    return best.learner_id
-
-
 def dump_front(front: ParetoFront, scored: Sequence[CandidateScore]) -> dict:
     """JSON-ready view of one selection event for the harness report."""
     return {

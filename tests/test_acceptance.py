@@ -17,7 +17,7 @@ import pytest
 
 from peermatch.cli import main as cli_main
 from peermatch.corpus import fixture_corpus_path, group_by_domain, load_corpus
-from peermatch.gp import GpFitConfig, KernelParams, covariance_matrix, fit_gp, log_marginal_likelihood, mll_gradient, predict
+from peermatch.gp import GpFitConfig, KernelParams, covariance_matrix, fit_gp, log_marginal_likelihood, mll_gradient
 from peermatch.harness import default_suite_configs, default_synthetic_corpus, run_suite
 from peermatch.metrics import CATEGORY_ORDER, format_gain_cell
 from peermatch.pareto import ScoreVector, dominates, pareto_front
@@ -25,7 +25,7 @@ from peermatch.personas import default_cohort
 from peermatch.protocol import option_leaks
 from oracles import brute_force_front, dense_mll, dense_predict, finite_difference_gradient
 
-from peermatch.gp import GpModel
+from peermatch.gp import FittedGp
 from scipy.linalg import cho_solve
 
 
@@ -61,10 +61,10 @@ def test_criterion_1_gp_oracle_equivalence():
 
             K = covariance_matrix(X, params)
             L = np.linalg.cholesky(K)
-            model = GpModel(X=X, y=y, params=params, L=L, alpha=cho_solve((L, True), y), jitter=0.0, mll=0.0)
+            model = FittedGp(X=X, y=y, params=params, L=L, alpha=cho_solve((L, True), y), jitter=0.0, mll=0.0)
             for _ in range(3):
                 x_star = rng.standard_normal(d)
-                got = predict(model, x_star)
+                got = model.predict(x_star)
                 want_mean, want_var = dense_predict(X, y, params, x_star)
                 assert abs(got.mean - want_mean) <= 1e-8
                 assert abs(got.variance - want_var) <= 1e-8

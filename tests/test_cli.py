@@ -129,3 +129,28 @@ def test_suite_defaults_without_config(tmp_path):
 def test_missing_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_profile_rejects_live_backend(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "synthetic", "--backend", "live", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_live_section_missing_required_key(tmp_path, capsys):
+    cfg = _variant_config(tmp_path, live={"model": "m"})
+    rc = main(["simulate", "--config", str(cfg), "--backend", "live"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "base_url" in err
+
+
+def test_live_transport_error_reported_without_traceback(tmp_path, capsys, monkeypatch):
+    # The token check fails before any connection is attempted.
+    monkeypatch.delenv("PEERMATCH_API_TOKEN", raising=False)
+    cfg = _variant_config(tmp_path, live={"base_url": "http://127.0.0.1:9", "model": "m"})
+    rc = main(["simulate", "--config", str(cfg), "--backend", "live"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "PEERMATCH_API_TOKEN" in err

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from peermatch.gp import (
     FitError,
+    FittedGp,
     GpFitConfig,
-    GpModel,
     GpRegressor,
     KernelParams,
     covariance_matrix,
@@ -16,9 +16,7 @@ from peermatch.gp import (
     load_model,
     log_marginal_likelihood,
     mll_gradient,
-    predict,
-    rbf,
-    save_model,
+    SingularMatrixError,
 )
 from scipy.linalg import cho_solve
 from oracles import dense_mll, dense_covariance, dense_predict, finite_difference_gradient
@@ -38,31 +36,6 @@ class TestKernelParams:
         assert (q.signal_variance, q.lengthscale, q.noise_variance) == pytest.approx(
             (2.0, 0.5, 0.01)
         )
-
-
-class TestRbf:
-    def test_zero_distance_gives_signal_variance(self):
-        x = np.array([0.3, -2.0])
-        assert rbf(x, x, P) == pytest.approx(P.signal_variance)
-
-    def test_unit_case_e_minus_one(self):
-        # |xi - xj|^2 = 2 with unit signal and lengthscale: exp(-1)
-        xi, xj = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-        assert rbf(xi, xj, KernelParams(1.0, 1.0, 0.1)) == pytest.approx(math.exp(-1.0))
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal(5), rng.standard_normal(5)
-        assert rbf(a, b, P) == rbf(b, a, P)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            rbf(np.zeros(3), np.zeros(4), P)
-
-    @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2), st.lists(st.floats(-5, 5), min_size=2, max_size=2))
-    def test_bounded_by_signal_variance(self, a, b):
-        value = rbf(np.array(a), np.array(b), P)
-        assert 0.0 < value <= P.signal_variance + 1e-15
 
 
 class TestCovariance:
@@ -92,6 +65,12 @@ class TestCovariance:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             covariance_matrix(np.array([[np.nan]]), P)
+
+    @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)), min_size=2, max_size=5))
+    def test_off_diagonal_bounded_by_signal_variance(self, points):
+        K = covariance_matrix(np.array(points), P)
+        off = K[~np.eye(len(points), dtype=bool)]
+        assert np.all(off > 0.0) and np.all(off <= P.signal_variance)
 
 
 class TestLogMarginalLikelihood:
@@ -212,7 +191,7 @@ class TestPredict:
         X = rng.uniform(0, 1, size=(10, 1))
         y = rng.standard_normal(10)
         model = fit_gp(X, y, GpFitConfig(seed=0, restarts=0, max_iters=0))
-        far = predict(model, np.array([1e5]))
+        far = model.predict(np.array([1e5]))
         assert far.mean == pytest.approx(0.0, abs=1e-9)
         assert far.variance == pytest.approx(
             model.params.signal_variance + model.params.noise_variance, abs=1e-9
@@ -226,8 +205,8 @@ class TestPredict:
             params = KernelParams(1.0, 1.0, noise)
             K = covariance_matrix(X, params)
             L = np.linalg.cholesky(K)
-            model = GpModel(X=X, y=y, params=params, L=L, alpha=cho_solve((L, True), y), jitter=0.0, mll=0.0)
-            gaps.append(max(abs(predict(model, x).mean - t) for x, t in zip(X, y)))
+            model = FittedGp(X=X, y=y, params=params, L=L, alpha=cho_solve((L, True), y), jitter=0.0, mll=0.0)
+            gaps.append(max(abs(model.predict(x).mean - t) for x, t in zip(X, y)))
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < 1e-6
 
@@ -250,8 +229,8 @@ class TestPredict:
         X = np.array([[x1], [x2]])
         K = covariance_matrix(X, params)
         L = np.linalg.cholesky(K)
-        model = GpModel(X=X, y=y, params=params, L=L, alpha=cho_solve((L, True), y), jitter=0.0, mll=0.0)
-        got = predict(model, np.array([xs]))
+        model = FittedGp(X=X, y=y, params=params, L=L, alpha=cho_solve((L, True), y), jitter=0.0, mll=0.0)
+        got = model.predict(np.array([xs]))
         assert got.mean == pytest.approx(want_mean, abs=1e-12)
         assert got.variance == pytest.approx(want_var, abs=1e-12)
 
@@ -261,10 +240,10 @@ class TestPredict:
         y = rng.standard_normal(12)
         K = covariance_matrix(X, P)
         L = np.linalg.cholesky(K)
-        gp_model = GpModel(X=X, y=y, params=P, L=L, alpha=cho_solve((L, True), y), jitter=0.0, mll=0.0)
+        gp_model = FittedGp(X=X, y=y, params=P, L=L, alpha=cho_solve((L, True), y), jitter=0.0, mll=0.0)
         for _ in range(5):
             xs = rng.standard_normal(3)
-            got = predict(gp_model, xs)
+            got = gp_model.predict(xs)
             want_mean, want_var = dense_predict(X, y, P, xs)
             assert got.mean == pytest.approx(want_mean, abs=1e-8)
             assert got.variance == pytest.approx(want_var, abs=1e-8)
@@ -276,7 +255,7 @@ class TestPredict:
         model = fit_gp(X, y, GpFitConfig(seed=0, restarts=1, max_iters=40))
         p = model.params
         for _ in range(50):
-            pred = predict(model, rng.standard_normal(2) * 3)
+            pred = model.predict(rng.standard_normal(2) * 3)
             assert p.noise_variance - 1e-9 <= pred.variance <= p.signal_variance + p.noise_variance + 1e-9
 
     def test_dimension_mismatch(self):
@@ -284,7 +263,7 @@ class TestPredict:
         X = rng.standard_normal((5, 2))
         model = fit_gp(X, rng.standard_normal(5), GpFitConfig(seed=0, restarts=0, max_iters=1))
         with pytest.raises(ValueError, match="shape"):
-            predict(model, np.zeros(3))
+            model.predict(np.zeros(3))
 
 
 class TestSnapshot:
@@ -293,13 +272,40 @@ class TestSnapshot:
         X = rng.standard_normal((9, 2))
         y = rng.standard_normal(9)
         model = fit_gp(X, y, GpFitConfig(seed=2, restarts=1, max_iters=60))
-        save_model(model, tmp_path / "model.json")
+        model.save(tmp_path / "model.json")
         loaded = load_model(tmp_path / "model.json")
         for _ in range(10):
             xs = rng.standard_normal(2)
-            a, b = predict(model, xs), predict(loaded, xs)
+            a, b = model.predict(xs), loaded.predict(xs)
             assert abs(a.mean - b.mean) <= 1e-12
             assert abs(a.variance - b.variance) <= 1e-12
+
+    def test_round_trip_refactors_at_stored_jitter(self, tmp_path):
+        # These hyperparameters survive the snapshot's log-space text exactly,
+        # so the reloaded factor can be compared bit for bit.
+        params = KernelParams(2.0, 0.5, 0.25)
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((9, 2))
+        y = rng.standard_normal(9)
+        L = np.linalg.cholesky(covariance_matrix(X, params) + 1e-8 * np.eye(9))
+        model = FittedGp(X=X, y=y, params=params, L=L, alpha=cho_solve((L, True), y), jitter=1e-8, mll=0.0)
+        model.save(tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        assert loaded.jitter == 1e-8
+        assert np.array_equal(loaded.L, L)
+        for xs in rng.standard_normal((10, 2)):
+            a, b = model.predict(xs), loaded.predict(xs)
+            assert abs(a.mean - b.mean) <= 1e-12
+            assert abs(a.variance - b.variance) <= 1e-12
+
+    def test_load_never_climbs_past_stored_jitter(self, tmp_path):
+        # Two identical inputs with negligible noise: singular at jitter 0,
+        # which the fitting ladder would escape but a reload must not.
+        X, y = np.array([[0.0], [0.0]]), np.array([1.0, 1.0])
+        params = KernelParams(1.0, 1.0, 1e-300)
+        FittedGp(X=X, y=y, params=params, L=np.eye(2), alpha=y, jitter=0.0, mll=0.0).save(tmp_path / "model.json")
+        with pytest.raises(SingularMatrixError):
+            load_model(tmp_path / "model.json")
 
     def test_rejects_unknown_format(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"format": "other/9"}', "utf-8")

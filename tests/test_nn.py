@@ -3,7 +3,7 @@ import pytest
 
 from peermatch.features import HashingEmbedder
 from peermatch.gp import FitError
-from peermatch.nn import MlpConfig, MlpRegressor, fit_mlp, predict_mlp
+from peermatch.nn import MlpConfig, MlpRegressor, fit_mlp
 from peermatch.personas import enumerate_personas
 
 
@@ -25,7 +25,7 @@ def _pattern_dataset():
 def test_zero_targets_give_near_zero_predictions():
     X, _ = _pattern_dataset()
     model = fit_mlp(X, np.zeros(len(X)), MlpConfig(seed=0))
-    assert max(abs(predict_mlp(model, x).mean) for x in X) < 1e-2
+    assert max(abs(model.predict(x).mean) for x in X) < 1e-2
 
 
 def test_learns_complementarity_pattern():
@@ -66,7 +66,7 @@ def test_shape_validation():
     X, y = _pattern_dataset()
     model = fit_mlp(X, y, MlpConfig(iters=10))
     with pytest.raises(ValueError, match="shape"):
-        predict_mlp(model, np.zeros(3))
+        model.predict(np.zeros(3))
 
 
 def test_save_writes_weights(tmp_path):

@@ -17,7 +17,6 @@ from peermatch.pareto import (
     pareto_front,
     rank_candidates,
     score_vector,
-    select_partner,
 )
 from peermatch.personas import Learner, enumerate_personas
 from peermatch.protocol import PairedResponseRecord, ProtocolStep, ResponseRecord
@@ -234,14 +233,14 @@ def _selection_setup():
 
 def test_constant_regressor_breaks_ties_by_smallest_id():
     cohort, front, block = _selection_setup()
-    chosen = select_partner(cohort["L0"], front, _ConstantRegressor(), block, HashingEmbedder(), cohort)
+    chosen = rank_candidates(cohort["L0"], front, _ConstantRegressor(), block, HashingEmbedder(), cohort)[0].learner_id
     assert chosen == "L1"
 
 
 def test_scripted_regressor_picks_favorite():
     cohort, front, block = _selection_setup()
     # partner subject preference is x[2]; personas L3..L5 have subject 0, L0..L2 have -1
-    chosen = select_partner(cohort["L0"], front, _FavorSecondCoordinate(), block, HashingEmbedder(), cohort)
+    chosen = rank_candidates(cohort["L0"], front, _FavorSecondCoordinate(), block, HashingEmbedder(), cohort)[0].learner_id
     best = max(
         front.member_ids,
         key=lambda pid: (cohort[pid].persona.subject_pref, pid == min(front.member_ids)),
@@ -252,7 +251,8 @@ def test_scripted_regressor_picks_favorite():
 def test_selection_never_returns_anchor():
     cohort, front, block = _selection_setup()
     for rule in ("mean", "poi"):
-        assert select_partner(cohort["L0"], front, _ConstantRegressor(), block, HashingEmbedder(), cohort, rule) != "L0"
+        chosen = rank_candidates(cohort["L0"], front, _ConstantRegressor(), block, HashingEmbedder(), cohort, rule)[0]
+        assert chosen.learner_id != "L0"
 
 
 def test_fitted_gp_selection_matches_exhaustive_argmax():
@@ -262,8 +262,8 @@ def test_fitted_gp_selection_matches_exhaustive_argmax():
     X = rng.standard_normal((20, 4 + emb.dim))
     y = rng.standard_normal(20) * 0.2
     fitted = GpRegressor(GpFitConfig(seed=0, restarts=0, max_iters=30)).fit(X, y)
-    chosen = select_partner(cohort["L0"], front, fitted, block, emb, cohort)
     scored = rank_candidates(cohort["L0"], front, fitted, block, emb, cohort)
+    chosen = scored[0].learner_id
     exhaustive = sorted(scored, key=lambda s: (-s.mean, s.learner_id))[0].learner_id
     assert chosen == exhaustive
 
@@ -281,8 +281,8 @@ def test_argmax_invariant_under_increasing_transform():
             inner = Raw().predict(x).mean
             return Prediction(mean=float(3.0 * inner + 11.0), variance=0.0)
 
-    a = select_partner(cohort["L0"], front, Raw(), block, emb, cohort)
-    b = select_partner(cohort["L0"], front, Transformed(), block, emb, cohort)
+    a = rank_candidates(cohort["L0"], front, Raw(), block, emb, cohort)[0].learner_id
+    b = rank_candidates(cohort["L0"], front, Transformed(), block, emb, cohort)[0].learner_id
     assert a == b
 
 
