@@ -9,12 +9,12 @@ reproducible experiment harness.
 
 from .backends import CachingBackend, DecodeParams, HttpBackend, LiveConfig, MockBackend
 from .corpus import Exercise, ExerciseBlock, group_by_domain, load_corpus, sample_subset
-from .features import HashingEmbedder, build_dataset, pair_gain
+from .features import HashingEmbedder, build_dataset, index_scores, pair_gain
 from .gp import FittedGp, GpFitConfig, GpRegressor, KernelParams, fit_gp
 from .harness import VariantConfig, default_suite_configs, default_synthetic_corpus, run_suite, run_variant
 from .nn import MlpConfig, MlpRegressor
 from .pareto import ScoreVector, dominates, pareto_front, rank_candidates
-from .personas import Learner, Persona, default_cohort, enumerate_personas, render_system_prompt
+from .personas import Learner, Persona, default_cohort, enumerate_personas
 from .protocol import exchange_and_resolve, parse_choice, solve_exercise
 
 __version__ = "0.1.0"
@@ -22,11 +22,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CachingBackend", "DecodeParams", "HttpBackend", "LiveConfig", "MockBackend",
     "Exercise", "ExerciseBlock", "group_by_domain", "load_corpus", "sample_subset",
-    "HashingEmbedder", "build_dataset", "pair_gain",
+    "HashingEmbedder", "build_dataset", "index_scores", "pair_gain",
     "FittedGp", "GpFitConfig", "GpRegressor", "KernelParams", "fit_gp",
     "VariantConfig", "default_suite_configs", "default_synthetic_corpus", "run_suite", "run_variant",
     "MlpConfig", "MlpRegressor",
     "ScoreVector", "dominates", "pareto_front", "rank_candidates",
-    "Learner", "Persona", "default_cohort", "enumerate_personas", "render_system_prompt",
+    "Learner", "Persona", "default_cohort", "enumerate_personas",
     "exchange_and_resolve", "parse_choice", "solve_exercise",
 ]

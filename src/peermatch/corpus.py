@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .hashing import stable_u64
 
@@ -77,9 +77,7 @@ def domain_category_map() -> dict[str, str]:
     return json.loads(raw)
 
 
-def category_for_domain(domain: str, extra: Mapping[str, str] | None = None) -> str:
-    if extra and domain in extra:
-        return extra[domain]
+def category_for_domain(domain: str) -> str:
     mapping = domain_category_map()
     if domain not in mapping:
         log.warning("unknown domain %r, mapping to category 'other'", domain)
@@ -104,10 +102,7 @@ def _read_rows(path: Path, domain_from_name: str | None) -> list[tuple[str, dict
         return rows
 
 
-def load_corpus(
-    path: str | Path,
-    category_overrides: Mapping[str, str] | None = None,
-) -> list[Exercise]:
+def load_corpus(path: str | Path) -> list[Exercise]:
     """Load exercises from a directory of per-domain CSVs or a single CSV.
 
     Row order is preserved; ids are assigned ``<domain>/<row-index>`` with
@@ -151,7 +146,7 @@ def load_corpus(
                     options=options,
                     key=key,
                     domain=domain,
-                    category=category_for_domain(domain, category_overrides),
+                    category=category_for_domain(domain),
                 )
             )
     return exercises

@@ -101,57 +101,56 @@ def build_sample_vector(
     )
 
 
-def _scores_for_block(
-    block: ExerciseBlock, records: Mapping[str, int], what: str
-) -> int:
-    wanted = [e.id for e in block.exercises]
-    missing = [ex_id for ex_id in wanted if ex_id not in records]
+ScoreIndex = dict[tuple[str, str | None], dict[str, int]]
+
+
+def index_scores(
+    solo_records: Iterable[ResponseRecord], paired_records: Iterable[PairedResponseRecord]
+) -> ScoreIndex:
+    """``(learner_id, partner_id or None) -> {exercise_id: r}`` in one pass.
+
+    Solo records sit under ``(learner_id, None)``. A second record for the
+    same key and exercise is a CoverageError.
+    """
+    keyed: list = [((rec.learner_id, None), rec) for rec in solo_records]
+    keyed += [((rec.learner_id, rec.partner_id), rec) for rec in paired_records]
+    index: ScoreIndex = {}
+    for key, rec in keyed:
+        by_exercise = index.setdefault(key, {})
+        if rec.exercise_id in by_exercise:
+            raise CoverageError(f"records of {key}: duplicate record for exercise {rec.exercise_id!r}")
+        by_exercise[rec.exercise_id] = rec.r
+    return index
+
+
+def block_sum(by_exercise: Mapping[str, int], block: ExerciseBlock, what: str) -> int:
+    """Sum of r over the block's exercises, which must all be present."""
+    missing = [e.id for e in block.exercises if e.id not in by_exercise]
     if missing:
         raise CoverageError(f"{what}: missing records for exercises {missing}")
-    return sum(records[ex_id] for ex_id in wanted)
-
-
-def _index_unique(pairs: Iterable[tuple[str, int]], what: str) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for ex_id, r in pairs:
-        if ex_id in out:
-            raise CoverageError(f"{what}: duplicate record for exercise {ex_id!r}")
-        out[ex_id] = r
-    return out
+    return sum(by_exercise[e.id] for e in block.exercises)
 
 
 def pair_gain(
     learner: Learner,
     partner: Learner,
     block: ExerciseBlock,
-    paired_records: Iterable[PairedResponseRecord],
-    solo_records: Iterable[ResponseRecord],
+    scores: ScoreIndex,
     baseline: str = "self",
 ) -> float:
     """Block-normalized paired score minus an independent baseline score.
 
-    ``baseline="self"`` subtracts the anchoring learner's own solo score;
-    ``baseline="partner"`` subtracts the partner's solo score instead. Both
-    record sets must cover exactly the block's exercises for the relevant
-    learner.
+    ``scores`` is an ``index_scores`` index. ``baseline="self"`` subtracts
+    the anchoring learner's own solo score; ``baseline="partner"`` subtracts
+    the partner's solo score instead. The pair's records and the baseline
+    learner's solo records must cover every exercise of the block.
     """
     if baseline not in ("self", "partner"):
         raise ValueError(f"unknown baseline {baseline!r}")
     base_learner = learner.id if baseline == "self" else partner.id
-    paired = _index_unique(
-        (
-            (rec.exercise_id, rec.r)
-            for rec in paired_records
-            if rec.learner_id == learner.id and rec.partner_id == partner.id
-        ),
-        f"paired records of ({learner.id}, {partner.id})",
-    )
-    solo = _index_unique(
-        ((rec.exercise_id, rec.r) for rec in solo_records if rec.learner_id == base_learner),
-        f"solo records of {base_learner}",
-    )
-    paired_sum = _scores_for_block(block, paired, f"paired ({learner.id}, {partner.id}) on {block.domain}")
-    solo_sum = _scores_for_block(block, solo, f"solo {base_learner} on {block.domain}")
+    paired, solo = scores.get((learner.id, partner.id), {}), scores.get((base_learner, None), {})
+    paired_sum = block_sum(paired, block, f"paired ({learner.id}, {partner.id}) on {block.domain}")
+    solo_sum = block_sum(solo, block, f"solo {base_learner} on {block.domain}")
     return (paired_sum - solo_sum) / len(block)
 
 
@@ -169,14 +168,11 @@ class Sample:
 def build_dataset(
     cohort: Mapping[str, Learner],
     blocks: Sequence[ExerciseBlock],
-    paired_records: Iterable[PairedResponseRecord],
-    solo_records: Iterable[ResponseRecord],
+    scores: ScoreIndex,
     emb: EmbeddingProvider,
     baseline: str = "self",
 ) -> list[Sample]:
     """One sample per ordered learner pair per block, sorted by (learner, partner, domain)."""
-    paired_records = list(paired_records)
-    solo_records = list(solo_records)
     domain_vecs = {block.domain: domain_vector(block, emb) for block in blocks}
     samples: list[Sample] = []
     ids = sorted(cohort)
@@ -186,7 +182,7 @@ def build_dataset(
                 continue
             learner, partner = cohort[learner_id], cohort[partner_id]
             for block in sorted(blocks, key=lambda b: b.domain):
-                y = pair_gain(learner, partner, block, paired_records, solo_records, baseline)
+                y = pair_gain(learner, partner, block, scores, baseline)
                 x = build_sample_vector(learner, partner, block, emb, domain_vecs[block.domain])
                 samples.append(Sample(x=x, y=y, learner_id=learner_id, partner_id=partner_id, domain=block.domain))
     return samples

@@ -26,7 +26,7 @@ from .backends import (
     mock_correct_label,
 )
 from .corpus import Exercise, ExerciseBlock, group_by_domain, make_synthetic_corpus
-from .features import HashingEmbedder, build_dataset, dataset_arrays
+from .features import HashingEmbedder, ScoreIndex, build_dataset, dataset_arrays, index_scores
 from .gp import GpFitConfig, GpRegressor
 from .hashing import stable_u64
 from .metrics import (
@@ -256,13 +256,14 @@ def _accuracies(
 
 def resolve_front(
     learner_id: str,
-    history: Sequence[PairedResponseRecord],
+    scores: ScoreIndex,
+    train_blocks: Sequence[ExerciseBlock],
     global_vectors,
     mode: str,
 ) -> tuple[ParetoFront, bool]:
-    """Front for one learner; an empty local history falls back to the global front."""
+    """Front for one learner; no paired history on the train blocks falls back to the global front."""
     if mode == "local":
-        candidates = local_candidates(learner_id, history)
+        candidates = local_candidates(learner_id, scores, train_blocks)
         if candidates:
             return pareto_front(candidates, anchor=learner_id, mode="local"), False
         log.warning("learner %s has no interaction history; falling back to the global front", learner_id)
@@ -356,7 +357,8 @@ def run_variant(
             (l, p, e) for l in learners for p in others[l.id] for b in train_blocks for e in b.exercises
         )
 
-        samples = build_dataset(cohort, train_blocks, train_paired, train_solo, emb, cfg.gain_baseline)
+        scores = index_scores(train_solo, train_paired)
+        samples = build_dataset(cohort, train_blocks, scores, emb, cfg.gain_baseline)
         X, y = dataset_arrays(samples)
         if cfg.regressor == "gp":
             fitted = GpRegressor(replace(cfg.gp_fit, seed=cfg.seed)).fit(X, y)
@@ -365,11 +367,11 @@ def run_variant(
         if out is not None:
             save_artifact("model", "models", ".json", fitted.save)
 
-        global_vectors = [score_vector(l.id, train_solo, all_blocks) for l in learners]
+        global_vectors = [score_vector(l.id, scores, all_blocks) for l in learners]
         subject_of = {l.id: l.persona.subject_pref for l in learners}
         test_jobs = []
         for learner in learners:
-            front, fell_back = resolve_front(learner.id, train_paired, global_vectors, cfg.pareto)
+            front, fell_back = resolve_front(learner.id, scores, train_blocks, global_vectors, cfg.pareto)
             lp_fallbacks += int(fell_back)
             for block in test_blocks:
                 scored = rank_candidates(learner, front, fitted, block, emb, cohort, cfg.selection_rule)

@@ -16,10 +16,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import ExerciseBlock
-from .features import CoverageError, EmbeddingProvider, build_sample_vector, domain_vector
+from .features import EmbeddingProvider, ScoreIndex, block_sum, build_sample_vector, domain_vector
 from .gp import FittedRegressor
 from .personas import Learner
-from .protocol import PairedResponseRecord, ResponseRecord
 
 
 class DomainMismatchError(ValueError):
@@ -102,60 +101,38 @@ def pareto_front(candidates: Iterable[ScoreVector], anchor: str, mode: str = "gl
     return ParetoFront(mode=mode, anchor=anchor, members=tuple(front))
 
 
-def score_vector(
-    learner_id: str,
-    solo_records: Iterable[ResponseRecord],
-    blocks: Sequence[ExerciseBlock],
-) -> ScoreVector:
-    """Per-domain mean independent score; records must cover every block."""
-    by_exercise: dict[str, int] = {}
-    for rec in solo_records:
-        if rec.learner_id == learner_id:
-            by_exercise[rec.exercise_id] = rec.r
-    scores: dict[str, float] = {}
-    for block in blocks:
-        missing = [e.id for e in block.exercises if e.id not in by_exercise]
-        if missing:
-            raise CoverageError(f"learner {learner_id!r}, block {block.domain!r}: missing {missing}")
-        scores[block.domain] = sum(by_exercise[e.id] for e in block.exercises) / len(block)
-    return ScoreVector(learner_id=learner_id, scores=scores)
+def score_vector(learner_id: str, scores: ScoreIndex, blocks: Sequence[ExerciseBlock]) -> ScoreVector:
+    """Per-domain mean independent score; the learner's solo records must cover every block."""
+    solo = scores.get((learner_id, None), {})
+    return ScoreVector(
+        learner_id=learner_id,
+        scores={
+            b.domain: block_sum(solo, b, f"learner {learner_id!r}, block {b.domain!r}") / len(b) for b in blocks
+        },
+    )
 
 
-def _domain_of(exercise_id: str, domain_of: Mapping[str, str] | None) -> str:
-    if domain_of is not None:
-        return domain_of[exercise_id]
-    return exercise_id.rsplit("/", 1)[0]
-
-
-def local_candidates(
-    learner_id: str,
-    history: Iterable[PairedResponseRecord],
-    domain_of: Mapping[str, str] | None = None,
-) -> list[ScoreVector]:
+def local_candidates(learner_id: str, scores: ScoreIndex, blocks: Sequence[ExerciseBlock]) -> list[ScoreVector]:
     """Per-partner score vectors from the learner's own interaction history.
 
-    Each past partner contributes the vector of paired accuracies this
-    learner achieved with them, per domain. Domains a partner was never
-    tried on score 0.0 so all candidates share one domain set. Exercise ids
-    follow the ``<domain>/<index>`` scheme unless a mapping is supplied;
-    an empty history yields an empty list (cold start).
+    Each past partner contributes the mean paired score this learner reached
+    with them over the records present in each block; an exercise belongs
+    to the block that holds it, whatever its id. The domains are the blocks
+    this learner tried with any partner, and a block never tried with a
+    given partner scores 0.0, so all candidates share one domain set. No
+    history in the blocks yields an empty list (cold start).
     """
-    tally: dict[str, dict[str, list[int]]] = {}
-    domains: set[str] = set()
-    for rec in history:
-        if rec.learner_id != learner_id:
-            continue
-        domain = _domain_of(rec.exercise_id, domain_of)
-        domains.add(domain)
-        tally.setdefault(rec.partner_id, {}).setdefault(domain, []).append(rec.r)
-    out = []
-    for partner_id in sorted(tally):
-        per_domain = tally[partner_id]
-        scores = {
-            d: (sum(per_domain[d]) / len(per_domain[d])) if d in per_domain else 0.0 for d in domains
-        }
-        out.append(ScoreVector(learner_id=partner_id, scores=scores))
-    return out
+    tallies: dict[str, dict[str, list[int]]] = {}
+    for (anchor, partner_id), by_exercise in scores.items():
+        if anchor == learner_id and partner_id is not None:
+            tally = {b.domain: [by_exercise[e.id] for e in b.exercises if e.id in by_exercise] for b in blocks}
+            if any(tally.values()):
+                tallies[partner_id] = tally
+    domains = [b.domain for b in blocks if any(tally[b.domain] for tally in tallies.values())]
+    return [
+        ScoreVector(partner_id, {d: sum(tally[d]) / len(tally[d]) if tally[d] else 0.0 for d in domains})
+        for partner_id, tally in sorted(tallies.items())
+    ]
 
 
 @dataclass(frozen=True)

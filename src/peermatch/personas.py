@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
 _ALLOWED = (-1, 0, 1)
 DEFAULT_PROMPT_RESOURCE = "prompts_v1.json"
@@ -48,10 +47,6 @@ class Learner:
     persona: Persona
 
 
-def make_persona(subject_pref: int, logic_pref: int) -> Persona:
-    return Persona(subject_pref, logic_pref)
-
-
 def enumerate_personas() -> list[Persona]:
     """All nine personas, sorted by (subject_pref, logic_pref)."""
     return [Persona(s, g) for s in _ALLOWED for g in _ALLOWED]
@@ -62,16 +57,6 @@ def default_cohort() -> dict[str, Learner]:
     cohort = {}
     for i, persona in enumerate(enumerate_personas()):
         learner = Learner(id=f"L{i}", persona=persona)
-        cohort[learner.id] = learner
-    return cohort
-
-
-def validate_cohort(learners) -> dict[str, Learner]:
-    """Index learners by id, rejecting duplicate ids."""
-    cohort: dict[str, Learner] = {}
-    for learner in learners:
-        if learner.id in cohort:
-            raise ValueError(f"duplicate learner id {learner.id!r}")
         cohort[learner.id] = learner
     return cohort
 
@@ -100,12 +85,6 @@ class PromptSet:
     solo_task: str
     answer_instruction: str
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PromptSet":
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-        return cls(**raw)
-
     def system(self, persona: Persona) -> str:
         return self.system_template.format(
             subject=self.subject[str(persona.subject_pref)],
@@ -123,8 +102,3 @@ class PromptSet:
 def default_prompts() -> PromptSet:
     raw = resources.files("peermatch").joinpath("data", DEFAULT_PROMPT_RESOURCE).read_text("utf-8")
     return PromptSet(**json.loads(raw))
-
-
-def render_system_prompt(persona: Persona, prompts: PromptSet | None = None) -> str:
-    """Deterministic system prompt; distinct personas render distinct texts."""
-    return (prompts or default_prompts()).system(persona)

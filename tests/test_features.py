@@ -11,6 +11,7 @@ from peermatch.features import (
     build_dataset,
     build_sample_vector,
     domain_vector,
+    index_scores,
     learner_short_vector,
     load_dataset,
     pair_gain,
@@ -148,36 +149,36 @@ class TestPairGain:
         block = _block(n=4)
         paired = _paired(learner.id, partner.id, block, [1, 1, 1, 1])
         solo = _solo(learner.id, block, [0, 0, 0, 0])
-        assert pair_gain(learner, partner, block, paired, solo) == pytest.approx(1.0)
+        assert pair_gain(learner, partner, block, index_scores(solo, paired)) == pytest.approx(1.0)
 
     def test_zero_when_equal(self, learner, partner):
         block = _block(n=4)
         paired = _paired(learner.id, partner.id, block, [1, 0, 1, 0])
         solo = _solo(learner.id, block, [0, 1, 1, 0])
-        assert pair_gain(learner, partner, block, paired, solo) == pytest.approx(0.0)
+        assert pair_gain(learner, partner, block, index_scores(solo, paired)) == pytest.approx(0.0)
 
     def test_hand_computed_two_fifths(self, learner, partner):
         # 5 exercises, 4 paired correct vs 2 solo correct: (4 - 2) / 5 = 0.4
         block = _block(n=5)
         paired = _paired(learner.id, partner.id, block, [1, 1, 1, 1, 0])
         solo = _solo(learner.id, block, [1, 1, 0, 0, 0])
-        assert pair_gain(learner, partner, block, paired, solo) == pytest.approx(0.4)
+        assert pair_gain(learner, partner, block, index_scores(solo, paired)) == pytest.approx(0.4)
 
     def test_partner_baseline_flag(self, learner, partner):
         block = _block(n=4)
         paired = _paired(learner.id, partner.id, block, [1, 1, 1, 0])
         solo = _solo(learner.id, block, [1, 0, 0, 0]) + _solo(partner.id, block, [1, 1, 1, 1])
-        assert pair_gain(learner, partner, block, paired, solo, baseline="self") == pytest.approx(0.5)
-        assert pair_gain(learner, partner, block, paired, solo, baseline="partner") == pytest.approx(-0.25)
+        assert pair_gain(learner, partner, block, index_scores(solo, paired), baseline="self") == pytest.approx(0.5)
+        assert pair_gain(learner, partner, block, index_scores(solo, paired), baseline="partner") == pytest.approx(-0.25)
         with pytest.raises(ValueError, match="baseline"):
-            pair_gain(learner, partner, block, paired, solo, baseline="mean")
+            pair_gain(learner, partner, block, index_scores(solo, paired), baseline="mean")
 
     def test_missing_coverage_lists_exercises(self, learner, partner):
         block = _block(n=3)
         paired = _paired(learner.id, partner.id, block, [1, 1, 1])[:2]
         solo = _solo(learner.id, block, [0, 0, 0])
         with pytest.raises(CoverageError, match="blk/2"):
-            pair_gain(learner, partner, block, paired, solo)
+            pair_gain(learner, partner, block, index_scores(solo, paired))
 
     def test_duplicate_record_rejected(self, learner, partner):
         block = _block(n=2)
@@ -185,8 +186,19 @@ class TestPairGain:
         paired += _paired(learner.id, partner.id, block, [0, 0])[:1]
         solo = _solo(learner.id, block, [0, 0])
         with pytest.raises(CoverageError, match="duplicate"):
-            pair_gain(learner, partner, block, paired, solo)
+            pair_gain(learner, partner, block, index_scores(solo, paired))
 
+
+
+def test_index_scores_keys_solo_under_none(learner, partner):
+    block = _block(n=2)
+    index = index_scores(_solo(learner.id, block, [1, 0]), _paired(learner.id, partner.id, block, [0, 1]))
+    assert index == {
+        (learner.id, None): {"blk/0": 1, "blk/1": 0},
+        (learner.id, partner.id): {"blk/0": 0, "blk/1": 1},
+    }
+    with pytest.raises(CoverageError, match="duplicate"):
+        index_scores(_solo(learner.id, block, [1, 0]) + _solo(learner.id, block, [1]), [])
 
 def _full_records(cohort, blocks):
     solo, paired = [], []
@@ -207,13 +219,13 @@ def test_build_dataset_counts_and_bounds():
     cohort = {f"P{i}": Learner(f"P{i}", p) for i, p in enumerate(enumerate_personas()[:4])}
     blocks = [_block("d1", 4), _block("d2", 4)]
     paired, solo = _full_records(cohort, blocks)
-    samples = build_dataset(cohort, blocks, paired, solo, HashingEmbedder(dim=8))
+    samples = build_dataset(cohort, blocks, index_scores(solo, paired), HashingEmbedder(dim=8))
     assert len(samples) == 4 * 3 * 2
     assert all(-1.0 <= s.y <= 1.0 for s in samples)
     assert all(s.x.shape == (12,) for s in samples)
     keys = [(s.learner_id, s.partner_id, s.domain) for s in samples]
     assert keys == sorted(keys)
-    again = build_dataset(cohort, blocks, paired, solo, HashingEmbedder(dim=8))
+    again = build_dataset(cohort, blocks, index_scores(solo, paired), HashingEmbedder(dim=8))
     assert all(np.allclose(a.x, b.x) and a.y == b.y for a, b in zip(samples, again))
 
 
@@ -221,7 +233,7 @@ def test_dataset_round_trip(tmp_path):
     cohort = {f"P{i}": Learner(f"P{i}", p) for i, p in enumerate(enumerate_personas()[:3])}
     blocks = [_block("d1", 2)]
     paired, solo = _full_records(cohort, blocks)
-    samples = build_dataset(cohort, blocks, paired, solo, HashingEmbedder(dim=8))
+    samples = build_dataset(cohort, blocks, index_scores(solo, paired), HashingEmbedder(dim=8))
     save_dataset(samples, tmp_path / "samples.csv")
     header = (tmp_path / "samples.csv").read_text("utf-8").splitlines()[0]
     assert header.startswith("l_id,ℓ_id,domain,y,x_0")
@@ -242,7 +254,6 @@ def test_pair_gain_bounds_property(paired_bits, solo_bits):
         anchor,
         other,
         block,
-        _paired(anchor.id, other.id, block, paired_bits),
-        _solo(anchor.id, block, solo_bits),
+        index_scores(_solo(anchor.id, block, solo_bits), _paired(anchor.id, other.id, block, paired_bits)),
     )
     assert -1.0 <= gain <= 1.0

@@ -217,7 +217,7 @@ class TestMatchedVariants:
 def test_cold_start_falls_back_to_global_front(caplog):
     vectors = [ScoreVector(f"L{i}", {"d": 0.5}) for i in range(4)]
     with caplog.at_level(logging.WARNING):
-        front, fell_back = resolve_front("L0", [], vectors, mode="local")
+        front, fell_back = resolve_front("L0", {}, [], vectors, mode="local")
     assert fell_back
     assert front.mode == "global"
     assert "L0" not in front.member_ids
@@ -227,6 +227,7 @@ def test_cold_start_falls_back_to_global_front(caplog):
 def test_resolve_front_local_mode_with_history():
     from peermatch.backends import MockBackend
     from peermatch.corpus import group_by_domain
+    from peermatch.features import index_scores
     from peermatch.protocol import exchange_and_resolve
 
     corpus = small_corpus()
@@ -236,7 +237,7 @@ def test_resolve_front_local_mode_with_history():
     history = [
         exchange_and_resolve(cohort["L0"], cohort["L5"], e, backend) for e in blocks[0].exercises
     ]
-    front, fell_back = resolve_front("L0", history, [], mode="local")
+    front, fell_back = resolve_front("L0", index_scores([], history), blocks, [], mode="local")
     assert not fell_back
     assert front.mode == "local"
     assert front.member_ids == ("L5",)
@@ -357,3 +358,59 @@ def test_transcript_bytes_match_recorded_digests(name, tmp_path):
     if whole:
         assert len(lines) == n_lines
     assert hashlib.sha256(b"".join(lines[:n_lines])).hexdigest() == digest
+
+
+def test_local_fronts_group_records_by_block_not_exercise_id(tmp_path):
+    # ids that carry no domain: a local front must take domains from the blocks
+    corpus = [replace(e, id=f"item-{i}") for i, e in enumerate(small_corpus())]
+    cfg = next(c for c in default_suite_configs(seed=42) if c.name == "gp-local")
+    res = run_variant(replace(cfg, gp_fit=FAST_GP), corpus, out_dir=tmp_path)
+    assert res.lp_fallbacks == 0
+    dumps = json.loads((tmp_path / res.artifacts["fronts"]).read_text("utf-8"))
+    assert dumps
+    for dump in dumps:
+        assert dump["mode"] == "local"
+        for member in dump["members"]:
+            assert sorted(member["scores"]) == sorted(harness.DEFAULT_TRAIN_DOMAINS)
+
+
+# SHA-256 of what the train phase feeds the regressor and the fronts, for the
+# default synthetic corpus at seed 42: the (learner, partner, domain, repr(y))
+# rows build_dataset returns, and the fronts dump without the fields a fitted
+# model decides (mean, variance, value, chosen), so both hold at any BLAS
+# thread count.
+TRAIN_PHASE_DIGESTS = {
+    "gp-global": (
+        "9af20f3ec80df778c8ce1fcde4f0b794f796f4a2e4affc010fd7ccd1969c9167",
+        "f73232f51b29a48bda93b9263d5c78e324d0b71cae06b75845f384f6a21c8e06",
+    ),
+    "gp-local": (
+        "9af20f3ec80df778c8ce1fcde4f0b794f796f4a2e4affc010fd7ccd1969c9167",
+        "7fbe80adccb7947ef066336088eb95077db9de9eb8995d7a5250419c6060cfca",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(TRAIN_PHASE_DIGESTS))
+def test_train_phase_bytes_match_recorded_digests(name, tmp_path, monkeypatch):
+    rows = []
+    build = harness.build_dataset
+
+    def recording_build(*args, **kwargs):
+        samples = build(*args, **kwargs)
+        rows.extend((s.learner_id, s.partner_id, s.domain, repr(s.y)) for s in samples)
+        return samples
+
+    monkeypatch.setattr(harness, "build_dataset", recording_build)
+    cfg = next(c for c in default_suite_configs(seed=42) if c.name == name)
+    res = run_variant(replace(cfg, gp_fit=FAST_GP), default_synthetic_corpus(), out_dir=tmp_path)
+    dumps = json.loads((tmp_path / res.artifacts["fronts"]).read_text("utf-8"))
+    for dump in dumps:
+        del dump["chosen"]
+        for member in dump["members"]:
+            for key in ("mean", "variance", "value"):
+                del member[key]
+    assert len(rows) == 216 and len(dumps) == 27
+    dataset_digest, fronts_digest = TRAIN_PHASE_DIGESTS[name]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == dataset_digest
+    assert hashlib.sha256(json.dumps(dumps, sort_keys=True).encode()).hexdigest() == fronts_digest

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from peermatch.corpus import ExerciseBlock, make_synthetic_corpus
-from peermatch.features import CoverageError, HashingEmbedder
+from peermatch.features import CoverageError, HashingEmbedder, index_scores
 from peermatch.gp import GpFitConfig, GpRegressor, Prediction
 from peermatch.pareto import (
     DomainMismatchError,
@@ -160,34 +160,34 @@ class TestScoreVectorOp:
     def test_three_of_four_correct(self):
         alpha, beta = _blocks()
         records = _solo("me", alpha, [1, 1, 1, 0]) + _solo("me", beta, [0, 0])
-        vec = score_vector("me", records, [alpha, beta])
+        vec = score_vector("me", index_scores(records, []), [alpha, beta])
         assert vec.scores == {"alpha": 0.75, "beta": 0.0}
 
     def test_all_wrong_is_zero_vector(self):
         alpha, beta = _blocks()
         records = _solo("me", alpha, [0, 0, 0, 0]) + _solo("me", beta, [0, 0])
-        assert all(v == 0.0 for v in score_vector("me", records, [alpha, beta]).scores.values())
+        assert all(v == 0.0 for v in score_vector("me", index_scores(records, []), [alpha, beta]).scores.values())
 
     def test_hand_fixture(self):
         alpha, beta = _blocks()
         records = _solo("me", alpha, [1, 0, 1, 0]) + _solo("me", beta, [1, 0])
-        vec = score_vector("me", records, [alpha, beta])
+        vec = score_vector("me", index_scores(records, []), [alpha, beta])
         assert vec.scores == {"alpha": 0.5, "beta": 0.5}
 
     def test_missing_coverage(self):
         alpha, beta = _blocks()
         with pytest.raises(CoverageError, match="beta"):
-            score_vector("me", _solo("me", alpha, [1, 1, 1, 1]), [alpha, beta])
+            score_vector("me", index_scores(_solo("me", alpha, [1, 1, 1, 1]), []), [alpha, beta])
 
 
 class TestLocalCandidates:
     def test_empty_history(self):
-        assert local_candidates("me", []) == []
+        assert local_candidates("me", {}, _blocks()) == []
 
     def test_single_partner_half_right(self):
         alpha, _ = _blocks()
         history = _paired("me", "pal", alpha, [1, 1, 0, 0])
-        (vec,) = local_candidates("me", history)
+        (vec,) = local_candidates("me", index_scores([], history), _blocks())
         assert vec.learner_id == "pal"
         assert vec.scores == {"alpha": 0.5}
 
@@ -198,13 +198,13 @@ class TestLocalCandidates:
             + _paired("me", "p1", beta, [0, 1])
             + _paired("me", "p2", alpha, [0, 0, 1, 0])
         )
-        vecs = {v.learner_id: v.scores for v in local_candidates("me", history)}
+        vecs = {v.learner_id: v.scores for v in local_candidates("me", index_scores([], history), _blocks())}
         assert vecs == {"p1": {"alpha": 1.0, "beta": 0.5}, "p2": {"alpha": 0.25, "beta": 0.0}}
 
     def test_ignores_other_learners_history(self):
         alpha, _ = _blocks()
         history = _paired("someone_else", "p1", alpha, [1, 1, 1, 1])
-        assert local_candidates("me", history) == []
+        assert local_candidates("me", index_scores([], history), _blocks()) == []
 
 
 class _ConstantRegressor:

@@ -7,34 +7,31 @@ from peermatch.personas import (
     PersonaError,
     default_cohort,
     enumerate_personas,
-    make_persona,
-    render_system_prompt,
-    validate_cohort,
 )
 
 
 def test_make_persona_valid_corners():
-    p = make_persona(1, -1)
+    p = Persona(1, -1)
     assert (p.subject_pref, p.logic_pref) == (1, -1)
-    q = make_persona(0, 0)
+    q = Persona(0, 0)
     assert (q.subject_pref, q.logic_pref) == (0, 0)
 
 
 def test_out_of_range_names_axis():
     with pytest.raises(PersonaError, match="subject_pref"):
-        make_persona(2, 0)
+        Persona(2, 0)
     with pytest.raises(PersonaError, match="logic_pref"):
-        make_persona(0, -3)
+        Persona(0, -3)
 
 
 @given(st.integers(), st.integers())
 def test_construction_accepts_exactly_ternary_values(s, g):
     valid = s in (-1, 0, 1) and g in (-1, 0, 1)
     if valid:
-        make_persona(s, g)
+        Persona(s, g)
     else:
         with pytest.raises(PersonaError):
-            make_persona(s, g)
+            Persona(s, g)
 
 
 def test_enumerate_personas_grid():
@@ -46,17 +43,17 @@ def test_enumerate_personas_grid():
 
 
 def test_render_is_deterministic_and_injective(prompts):
-    texts = {render_system_prompt(p, prompts) for p in enumerate_personas()}
+    texts = {prompts.system(p) for p in enumerate_personas()}
     assert len(texts) == 9
     p = Persona(1, -1)
-    assert render_system_prompt(p, prompts) == render_system_prompt(p, prompts)
+    assert prompts.system(p) == prompts.system(p)
 
 
 def test_render_mentions_both_axes(prompts):
-    text = render_system_prompt(Persona(1, -1), prompts)
+    text = prompts.system(Persona(1, -1))
     assert prompts.subject_phrase(1) in text
     assert prompts.logic_phrase(-1) in text
-    neutral_axes = render_system_prompt(Persona(0, 0), prompts)
+    neutral_axes = prompts.system(Persona(0, 0))
     assert prompts.subject_phrase(0) in neutral_axes
     assert prompts.logic_phrase(0) in neutral_axes
 
@@ -74,7 +71,3 @@ def test_default_cohort_ids_unique():
     assert len(cohort) == 9
     assert sorted(cohort) == [f"L{i}" for i in range(9)]
 
-
-def test_validate_cohort_rejects_duplicates(learner):
-    with pytest.raises(ValueError, match="duplicate"):
-        validate_cohort([learner, learner])
