@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Protocol
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 SNAPSHOT_FORMAT = "gp-snapshot/1"
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -116,6 +115,8 @@ def _factor(K: np.ndarray, y: np.ndarray, ladder: tuple[float, ...] = JITTER_LAD
             continue
     else:
         raise SingularMatrixError(f"covariance not positive definite even with jitter {ladder[-1]!r}")
+    from scipy.linalg import cho_solve  # here so that importing peermatch does not load SciPy
+
     alpha = cho_solve((L, True), y)
     mll = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
     return L, jitter, alpha, mll
@@ -136,6 +137,8 @@ def _mll_and_grad(D2: np.ndarray, y: np.ndarray, theta: np.ndarray) -> tuple[flo
     Gradient components are 0.5 * trace((alpha alpha^T - K^-1) dK/dtheta_j),
     with K here meaning the noisy covariance.
     """
+    from scipy.linalg import cho_solve  # here so that importing peermatch does not load SciPy
+
     params = KernelParams.from_log_vector(theta)
     Krbf = _kernel_matrix(D2, params)
     L, _, alpha, value = _factor(_add_to_diagonal(Krbf, params.noise_variance), y)
@@ -201,6 +204,8 @@ class FittedGp:
         k(x*, x*) - k*^T (K + noise I)^-1 k* + noise, computed through the
         cached triangular factor.
         """
+        from scipy.linalg import solve_triangular  # here so that importing peermatch does not load SciPy
+
         x_star = np.asarray(x_star, dtype=np.float64)
         if x_star.shape != (self.X.shape[1],):
             raise ValueError(f"query has shape {x_star.shape}, expected ({self.X.shape[1]},)")
@@ -213,7 +218,15 @@ class FittedGp:
         return Prediction(mean=mean, variance=variance)
 
     def save(self, path: str | Path) -> None:
-        """Snapshot to structured text; reloading reproduces predictions exactly."""
+        """Snapshot to structured text.
+
+        The parameters are written as ``repr`` of their logs, and
+        ``load_model`` takes ``exp`` of those. Most values, fitted or hand
+        built, survive that bit for bit, and the reloaded factor and
+        predictions with them. A few values in 1,000 come back 1 ulp off
+        (about 1 random fit in 150 has one), and predictions then agree to
+        about 1e-12.
+        """
         payload = {
             "format": SNAPSHOT_FORMAT,
             "log_params": [repr(float(v)) for v in self.params.log_vector()],

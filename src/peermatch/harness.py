@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .backends import (
     CachingBackend,
     CompletionBackend,
@@ -26,7 +28,7 @@ from .backends import (
     mock_correct_label,
 )
 from .corpus import Exercise, ExerciseBlock, group_by_domain, make_synthetic_corpus
-from .features import HashingEmbedder, ScoreIndex, build_dataset, dataset_arrays, index_scores
+from .features import EmbeddingProvider, HashingEmbedder, ScoreIndex, build_dataset, dataset_arrays, index_scores
 from .gp import GpFitConfig, GpRegressor
 from .hashing import stable_u64
 from .metrics import (
@@ -192,34 +194,97 @@ def build_backend(cfg: VariantConfig, cache_dir: str | Path | None = None,
 
 
 class _TranscriptLog:
-    """Collects call events as JSON lines in execution order."""
+    """Collects call events as JSON lines in execution order.
 
-    def __init__(self, run_id: str):
-        self.run_id = run_id
+    A line is kept without its leading ``run_id`` field, which ``save``
+    writes in front of it, so lines rendered once can join any run's log.
+    """
+
+    def __init__(self) -> None:
         self.lines: list[str] = []
 
     def sink(self, partner_id: str | None, exercise_id: str) -> Callable[[int, CallEvent], None]:
         def write(step: int, event: CallEvent) -> None:
-            self.lines.append(
-                json.dumps(
-                    {
-                        "run_id": self.run_id,
-                        "step": step,
-                        "learner_id": event.actor_id,
-                        "partner_id": partner_id,
-                        "exercise_id": exercise_id,
-                        "prompt_hash": event.prompt_hash,
-                        "reply": event.reply,
-                    },
-                    ensure_ascii=False,
-                )
-            )
+            line = {
+                "step": step,
+                "learner_id": event.actor_id,
+                "partner_id": partner_id,
+                "exercise_id": exercise_id,
+                "prompt_hash": event.prompt_hash,
+                "reply": event.reply,
+            }
+            self.lines.append(json.dumps(line, ensure_ascii=False)[1:])
 
         return write
 
-    def save(self, path: Path) -> None:
+    def save(self, path: Path, run_id: str) -> None:
+        head = '{"run_id": ' + json.dumps(run_id, ensure_ascii=False) + ", "
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(self.lines) + ("\n" if self.lines else ""), "utf-8")
+        path.write_text("".join(f"{head}{line}\n" for line in self.lines), "utf-8")
+
+
+_MISSING = object()
+
+
+class _SuiteWork:
+    """Work that the variants of one suite share, each piece done once.
+
+    ``once(key, make)`` returns what ``make()`` gave the first time ``key``
+    was asked for; a ``make`` that raises stores nothing. The kinds of work
+    are backend calls, train phases, datasets, fits and stem embeddings. A
+    key starts with its kind and holds everything the value depends on
+    except the corpus, cohort, prompts and embedder, which must stay the
+    same for the object's life, as they do across the variants of a suite.
+    """
+
+    def __init__(self) -> None:
+        self._done: dict = {}
+        self.embedder = _MemoEmbedder(HashingEmbedder(), self)
+
+    def once(self, key: tuple, make: Callable[[], object]):
+        value = self._done.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._done[key] = make()
+        return value
+
+
+class _MemoBackend:
+    """Remembers each reply under (backend name, decode params, prompt)."""
+
+    def __init__(self, inner: CompletionBackend, work: _SuiteWork):
+        self.inner = inner
+        self.name = inner.name
+        self._once = work.once
+
+    def complete(self, prompt: str, params: DecodeParams) -> str:
+        return self._once(("call", self.name, params, prompt), lambda: self.inner.complete(prompt, params))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class _MemoEmbedder:
+    """Embeds each text once and hands out the same read-only vector."""
+
+    def __init__(self, inner: EmbeddingProvider, work: _SuiteWork):
+        self.inner = inner
+        self.dim = inner.dim
+        self._once = work.once
+
+    def embed(self, text: str) -> np.ndarray:
+        return self._once(("embed", text), lambda: _read_only(self.inner.embed(text)))
+
+
+@dataclass(frozen=True, eq=False)
+class _TrainPhase:
+    """A matched variant's train records, their score index and transcript lines."""
+
+    solo: tuple[ResponseRecord, ...]
+    paired: tuple[PairedResponseRecord, ...]
+    scores: ScoreIndex
+    lines: tuple[str, ...]
 
 
 def _split_blocks(cfg: VariantConfig, corpus: Sequence[Exercise]) -> tuple[list[ExerciseBlock], list[ExerciseBlock]]:
@@ -281,6 +346,7 @@ def run_variant(
     out_dir: str | Path | None = None,
     cache_dir: str | Path | None = None,
     live: LiveConfig | None = None,
+    shared: _SuiteWork | None = None,
 ) -> RunResult:
     """Run one variant end to end and score its test phase per learner.
 
@@ -295,23 +361,29 @@ def run_variant(
       pair on the train blocks) fits the gain regressor and each learner's
       Pareto front; ``rank_candidates`` then picks one partner per
       (learner, test block), and those pairs make the test jobs.
+
+    ``shared`` is the work ``run_suite`` shares between its variants:
+    backend replies, train phases, datasets, fits and stem embeddings, each
+    computed once. Without it the variant makes its own, which changes no
+    output.
     """
     cfg.validate()
     cohort = cohort or default_cohort()
     train_blocks, test_blocks = _split_blocks(cfg, corpus)
-    backend = backend or build_backend(cfg, cache_dir=cache_dir, live=live)
+    work = shared or _SuiteWork()
+    backend = _MemoBackend(backend or build_backend(cfg, cache_dir=cache_dir, live=live), work)
     prompts = prompts or default_prompts()
-    emb = emb or HashingEmbedder()
+    emb = emb or work.embedder
     learners = [cohort[key] for key in sorted(cohort)]
     if len(learners) < 2 and cfg.co_learning:
         raise ConfigError(f"{cfg.name}: co-learning needs at least two learners")
     out = Path(out_dir) if out_dir is not None else None
     others = {l.id: [p for p in learners if p.id != l.id] for l in learners}
+    all_blocks = train_blocks + test_blocks
     test_exercises = [e for b in test_blocks for e in b.exercises]
 
-    transcript = _TranscriptLog(run_id=f"{cfg.name}@{cfg.seed}")
-    train_solo: list[ResponseRecord] = []
-    train_paired: list[PairedResponseRecord] = []
+    transcript = _TranscriptLog()
+    train = _TrainPhase((), (), {}, ())
     selections: list[SelectionEvent] = []
     front_dumps: list[dict] = []
     lp_fallbacks = 0
@@ -322,7 +394,7 @@ def run_variant(
         save(out / rel)
         artifacts[key] = str(rel)
 
-    def execute(jobs: Iterable[tuple[Learner, Learner | None, Exercise]]) -> list:
+    def execute(jobs: Iterable[tuple[Learner, Learner | None, Exercise]], log: _TranscriptLog) -> list:
         records = []
         for learner, partner, exercise in jobs:
             params = DecodeParams(seed=_decode_seed(learner.id, exercise.id))
@@ -332,14 +404,22 @@ def run_variant(
                 records.append(solve_exercise(
                     learner, exercise, backend, params=params, prompts=prompts,
                     use_persona=cfg.role_setting or cfg.co_learning,
-                    sink=transcript.sink(None, exercise.id),
+                    sink=log.sink(None, exercise.id),
                 ))
             else:
                 records.append(exchange_and_resolve(
                     learner, partner, exercise, backend, params=params, prompts=prompts,
-                    sink=transcript.sink(partner.id, exercise.id),
+                    sink=log.sink(partner.id, exercise.id),
                 ))
         return records
+
+    def train_phase() -> _TrainPhase:
+        log = _TranscriptLog()
+        solo = execute(((l, None, e) for l in learners for b in all_blocks for e in b.exercises), log)
+        paired = execute(
+            ((l, p, e) for l in learners for p in others[l.id] for b in train_blocks for e in b.exercises), log
+        )
+        return _TrainPhase(tuple(solo), tuple(paired), index_scores(solo, paired), tuple(log.lines))
 
     if not cfg.co_learning:
         test_jobs = [(l, None, e) for l in learners for e in test_exercises]
@@ -351,27 +431,26 @@ def run_variant(
             (l, others[l.id][rng.randrange(len(others[l.id]))], e) for l in learners for e in test_exercises
         ]
     else:
-        all_blocks = train_blocks + test_blocks
-        train_solo = execute((l, None, e) for l in learners for b in all_blocks for e in b.exercises)
-        train_paired = execute(
-            (l, p, e) for l in learners for p in others[l.id] for b in train_blocks for e in b.exercises
-        )
+        train = work.once(("train", backend.name, cfg.train_domains), train_phase)
+        transcript.lines.extend(train.lines)
 
-        scores = index_scores(train_solo, train_paired)
-        samples = build_dataset(cohort, train_blocks, scores, emb, cfg.gain_baseline)
-        X, y = dataset_arrays(samples)
-        if cfg.regressor == "gp":
-            fitted = GpRegressor(replace(cfg.gp_fit, seed=cfg.seed)).fit(X, y)
-        else:
-            fitted = MlpRegressor(replace(cfg.nn_fit, seed=cfg.seed)).fit(X, y)
+        def dataset() -> tuple[np.ndarray, np.ndarray]:
+            X, y = dataset_arrays(build_dataset(cohort, train_blocks, train.scores, emb, cfg.gain_baseline))
+            return _read_only(X), _read_only(y)
+
+        dataset_key = ("dataset", backend.name, cfg.train_domains, cfg.gain_baseline)
+        X, y = work.once(dataset_key, dataset)
+        regressor, fit_cfg = (GpRegressor, cfg.gp_fit) if cfg.regressor == "gp" else (MlpRegressor, cfg.nn_fit)
+        fit_cfg = replace(fit_cfg, seed=cfg.seed)
+        fitted = work.once(("fit", cfg.regressor, fit_cfg, dataset_key), lambda: regressor(fit_cfg).fit(X, y))
         if out is not None:
             save_artifact("model", "models", ".json", fitted.save)
 
-        global_vectors = [score_vector(l.id, scores, all_blocks) for l in learners]
+        global_vectors = [score_vector(l.id, train.scores, all_blocks) for l in learners]
         subject_of = {l.id: l.persona.subject_pref for l in learners}
         test_jobs = []
         for learner in learners:
-            front, fell_back = resolve_front(learner.id, scores, train_blocks, global_vectors, cfg.pareto)
+            front, fell_back = resolve_front(learner.id, train.scores, train_blocks, global_vectors, cfg.pareto)
             lp_fallbacks += int(fell_back)
             for block in test_blocks:
                 scored = rank_candidates(learner, front, fitted, block, emb, cohort, cfg.selection_rule)
@@ -388,19 +467,20 @@ def run_variant(
                     ))
                     test_jobs.append((learner, partner, exercise))
 
-    test_records = execute(test_jobs)
+    test_records = execute(test_jobs, transcript)
     per_learner = _accuracies(learners, test_blocks, test_records)
 
     if out is not None:
-        save_artifact("transcript", "transcripts", ".jsonl", transcript.save)
+        run_id = f"{cfg.name}@{cfg.seed}"
+        save_artifact("transcript", "transcripts", ".jsonl", lambda path: transcript.save(path, run_id))
         if front_dumps:
             save_artifact("fronts", "fronts", ".json", lambda path: save_front_dumps(front_dumps, path))
 
     return RunResult(
         config=cfg,
         per_learner=per_learner,
-        train_solo=tuple(train_solo),
-        train_paired=tuple(train_paired),
+        train_solo=train.solo,
+        train_paired=train.paired,
         test_solo=() if cfg.co_learning else tuple(test_records),
         test_paired=tuple(test_records) if cfg.co_learning else (),
         selections=tuple(selections),
@@ -473,19 +553,24 @@ def run_suite(
     *,
     live: LiveConfig | None = None,
 ) -> SuiteResult:
-    """Run every variant sequentially and render both report shapes."""
+    """Run every variant sequentially and render both report shapes.
+
+    The variants share one ``_SuiteWork``: each distinct backend call,
+    train phase, dataset, fit and stem embedding is computed once per suite.
+    """
     baselines = [cfg.name for cfg in configs if _is_baseline(cfg)]
     if not baselines:
         raise ConfigError("suite needs a baseline variant (no roles, no co-learning)")
     baseline = baselines[0]
     cohort = cohort or default_cohort()
     cache_dir = Path(out_dir) / "cache" if out_dir is not None else None
+    work = _SuiteWork()
 
     results: list[RunResult] = []
     for cfg in configs:
         try:
             results.append(
-                run_variant(cfg, corpus, cohort, out_dir=out_dir, cache_dir=cache_dir, live=live)
+                run_variant(cfg, corpus, cohort, out_dir=out_dir, cache_dir=cache_dir, live=live, shared=work)
             )
         except Exception as exc:
             # re-raise the same object: rebuilding it would drop attributes

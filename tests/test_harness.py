@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -414,3 +415,65 @@ def test_train_phase_bytes_match_recorded_digests(name, tmp_path, monkeypatch):
     dataset_digest, fronts_digest = TRAIN_PHASE_DIGESTS[name]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == dataset_digest
     assert hashlib.sha256(json.dumps(dumps, sort_keys=True).encode()).hexdigest() == fronts_digest
+
+
+class TestSharedWork:
+    """A suite computes each call, train phase, fit and embedding once, and
+    every variant still gets what it would get run on its own."""
+
+    def test_each_variant_matches_its_standalone_run(self, tmp_path):
+        gp_global = cfg_with("gp-global", regressor="gp", pareto="global")
+        configs = [
+            cfg_with("baseline", role_setting=False, co_learning=False),
+            gp_global,
+            replace(gp_global, name="gp-local", pareto="local"),
+            replace(gp_global, name="other-seed", seed=4),
+            replace(gp_global, name="other-baseline", gain_baseline="partner"),
+            replace(gp_global, name="other-bonus", mock_bonus=0.1),
+            replace(gp_global, name="other-train",
+                    train_domains=("circuit_design", "urban_geography", "formal_logic")),
+            replace(gp_global, name="other-fit", gp_fit=replace(FAST_GP, max_iters=5)),
+            replace(gp_global, name="nn-global", regressor="nn"),
+        ]
+        suite = run_suite(configs, small_corpus(), out_dir=tmp_path / "suite")
+        for res in suite.results[1:]:
+            alone = run_variant(res.config, small_corpus(), out_dir=tmp_path / "alone")
+            assert res.per_learner == alone.per_learner, res.config.name
+            assert res.selections == alone.selections, res.config.name
+            for key in ("transcript", "model", "fronts"):
+                assert res.artifacts[key] == alone.artifacts[key]
+                suite_bytes = (tmp_path / "suite" / res.artifacts[key]).read_bytes()
+                assert suite_bytes == (tmp_path / "alone" / alone.artifacts[key]).read_bytes(), (res.config.name, key)
+
+    @staticmethod
+    def _counted_suite(monkeypatch, out, backend):
+        calls = Counter()
+        complete = MockBackend.complete
+
+        def counted(self, prompt, params):
+            calls[prompt, params] += 1
+            return complete(self, prompt, params)
+
+        configs = [replace(cfg, gp_fit=FAST_GP) for cfg in default_suite_configs(seed=42, backend=backend)]
+        with monkeypatch.context() as patch:
+            patch.setattr(MockBackend, "complete", counted)
+            run_suite(configs, default_synthetic_corpus(), out_dir=out)
+        return calls
+
+    def test_each_distinct_call_reaches_the_backend_once(self, tmp_path, monkeypatch):
+        calls = self._counted_suite(monkeypatch, tmp_path / "mock", "mock")
+        assert set(calls.values()) == {1}
+        lines = [
+            json.loads(line)
+            for path in (tmp_path / "mock" / "transcripts").iterdir()
+            for line in path.read_text("utf-8").splitlines()
+        ]
+        assert len(lines) == 42660
+        # the backend saw exactly the prompts the transcripts log
+        assert {hashlib.sha256(prompt.encode()).hexdigest() for prompt, _ in calls} == {
+            line["prompt_hash"] for line in lines
+        }
+
+        cached = self._counted_suite(monkeypatch, tmp_path / "cache", "cache")
+        assert cached == calls
+        assert sum(1 for p in (tmp_path / "cache" / "cache").rglob("*") if p.is_file()) == len(calls)
