@@ -176,17 +176,6 @@ class MockBackend:
         return self._draft(prompt)
 
 
-class FunctionBackend:
-    """Wraps a callable; mainly for scripted test backends."""
-
-    def __init__(self, fn, name: str = "scripted"):
-        self._fn = fn
-        self.name = name
-
-    def complete(self, prompt: str, params: DecodeParams) -> str:
-        return self._fn(prompt, params)
-
-
 class CachingBackend:
     """Content-addressed on-disk replay cache around another backend.
 

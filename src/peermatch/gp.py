@@ -4,9 +4,12 @@ The kernel is k(a, b) = signal_variance * exp(-|a - b|^2 / (2 * lengthscale^2)),
 observation noise is additive Gaussian with variance ``noise_variance``, and
 the prior mean is zero (gain labels are centered near zero by construction).
 Hyperparameters are fitted by maximizing the log marginal likelihood with
-gradient ascent in log-parameter space; every linear solve goes through a
-lower-triangular Cholesky factor of the noisy covariance matrix, and no
-general matrix inverse of it is ever formed outside that factorization.
+gradient ascent in log-parameter space. Every linear solve goes through a
+lower-triangular Cholesky factor of the noisy covariance matrix. The one
+inverse formed, K^-1 for the gradient, comes from that cached factor through
+LAPACK ``dpotri``, and the gradient is computed only at points the ascent
+accepts. Fits, reloads and predictions run with the bundled BLAS at one
+thread, so their digits do not depend on the host's thread settings.
 """
 
 from __future__ import annotations
@@ -14,10 +17,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
+
+from .blas import one_blas_thread
 
 SNAPSHOT_FORMAT = "gp-snapshot/1"
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -131,38 +137,53 @@ def log_marginal_likelihood(X: np.ndarray, y: np.ndarray, params: KernelParams) 
     return _factor(K, y)[3]
 
 
-def _mll_and_grad(D2: np.ndarray, y: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Objective and its gradient w.r.t. (log sf2, log lengthscale, log sn2).
+def _objective(D2: np.ndarray, y: np.ndarray, theta: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+    """MLL at log parameters theta, and a function that computes its gradient.
 
-    Gradient components are 0.5 * trace((alpha alpha^T - K^-1) dK/dtheta_j),
-    with K here meaning the noisy covariance.
+    The gradient function reuses this evaluation's kernel matrix, factor and
+    alpha, so a caller that rejects theta pays for one factorization only.
     """
-    from scipy.linalg import cho_solve  # here so that importing peermatch does not load SciPy
-
     params = KernelParams.from_log_vector(theta)
     Krbf = _kernel_matrix(D2, params)
     L, _, alpha, value = _factor(_add_to_diagonal(Krbf, params.noise_variance), y)
+    return value, partial(_gradient, D2, params, Krbf, L, alpha)
 
-    Kinv = cho_solve((L, True), np.eye(y.shape[0]))
-    W = np.outer(alpha, alpha) - Kinv
-    d_sf2 = Krbf
-    d_ls = Krbf * (D2 / params.lengthscale**2)
-    grad = np.array(
+
+def _gradient(D2: np.ndarray, params: KernelParams, Krbf: np.ndarray, L: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """MLL gradient w.r.t. (log sf2, log lengthscale, log sn2) at a factored point.
+
+    GPML eq. 5.9: component j is 0.5 * trace((alpha alpha^T - K^-1) dK/dtheta_j),
+    with K the noisy covariance. K^-1 comes from ``dpotri`` on the cached
+    factor L, which fills only the lower triangle; L's upper triangle is zero
+    and stays so. Both dK/dtheta_j are symmetric, so sum(K^-1 * M) is read
+    from the lower triangle T as 2 sum(T * M) - trace(T * M), and the
+    alpha^T M alpha terms are matrix-vector products.
+    """
+    from scipy.linalg.lapack import dpotri  # here so that importing peermatch does not load SciPy
+
+    Kinv_lower, info = dpotri(L, lower=1)
+    if info != 0:
+        raise SingularMatrixError(f"dpotri could not invert the covariance factor (info={info})")
+    Kinv_diag = np.diag(Kinv_lower)
+
+    def half_trace_w(M: np.ndarray) -> float:
+        kinv_dot_m = 2.0 * np.sum(Kinv_lower * M) - Kinv_diag @ np.diag(M)
+        return 0.5 * (alpha @ (M @ alpha) - kinv_dot_m)
+
+    return np.array(
         [
-            0.5 * np.sum(W * d_sf2),
-            0.5 * np.sum(W * d_ls),
-            0.5 * np.trace(W) * params.noise_variance,
+            half_trace_w(Krbf),
+            half_trace_w(Krbf * (D2 / params.lengthscale**2)),
+            0.5 * (alpha @ alpha - Kinv_diag.sum()) * params.noise_variance,
         ]
     )
-    return value, grad
 
 
 def mll_gradient(X: np.ndarray, y: np.ndarray, params: KernelParams) -> np.ndarray:
     """Analytic MLL gradient over (log sf2, log lengthscale, log sn2)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    _, grad = _mll_and_grad(pairwise_sqdist(X, X), y, params.log_vector())
-    return grad
+    return _objective(pairwise_sqdist(X, X), y, params.log_vector())[1]()
 
 
 @dataclass(frozen=True)
@@ -197,6 +218,7 @@ class FittedGp:
     mll: float
     trace: tuple[tuple[float, ...], ...] = field(default=())
 
+    @one_blas_thread()
     def predict(self, x_star: np.ndarray) -> Prediction:
         """Posterior mean and variance at a query point.
 
@@ -242,10 +264,14 @@ class FittedGp:
 
 
 def _ascend(D2, y, theta0, config: GpFitConfig):
-    """Backtracking gradient ascent from one start; returns (mll, theta, path)."""
+    """Backtracking gradient ascent from one start; returns (mll, theta, path).
+
+    The gradient is computed at the start and at each accepted trial only.
+    """
     theta = np.asarray(theta0, dtype=np.float64)
     try:
-        value, grad = _mll_and_grad(D2, y, theta)
+        value, gradient = _objective(D2, y, theta)
+        grad = gradient()
     except SingularMatrixError:
         return -np.inf, theta, []
     path = [(value, *theta)] if config.trace else []
@@ -259,14 +285,16 @@ def _ascend(D2, y, theta0, config: GpFitConfig):
         for _ in range(MAX_HALVINGS):
             trial = theta + s * grad
             try:
-                trial_value, trial_grad = _mll_and_grad(D2, y, trial)
+                trial_value, gradient = _objective(D2, y, trial)
+                if math.isfinite(trial_value) and trial_value > value:
+                    grad = gradient()
+                    accepted = True
             except SingularMatrixError:
-                trial_value = -np.inf
-            if math.isfinite(trial_value) and trial_value > value:
+                pass
+            if accepted:
                 improvement = trial_value - value
-                theta, value, grad = trial, trial_value, trial_grad
+                theta, value = trial, trial_value
                 step = min(s * STEP_GROWTH, 10.0)
-                accepted = True
                 break
             s *= 0.5
         if not accepted:
@@ -278,6 +306,7 @@ def _ascend(D2, y, theta0, config: GpFitConfig):
     return value, theta, path
 
 
+@one_blas_thread()
 def fit_gp(X: np.ndarray, y: np.ndarray, config: GpFitConfig = GpFitConfig()) -> FittedGp:
     """Fit hyperparameters by maximum log marginal likelihood.
 
@@ -321,6 +350,7 @@ def fit_gp(X: np.ndarray, y: np.ndarray, config: GpFitConfig = GpFitConfig()) ->
     )
 
 
+@one_blas_thread()
 def load_model(path: str | Path) -> FittedGp:
     """Rebuild a saved snapshot, factoring at exactly its stored jitter."""
     payload = json.loads(Path(path).read_text("utf-8"))

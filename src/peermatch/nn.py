@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .gp import FitError, Prediction
 
 
@@ -55,6 +56,7 @@ class FittedMlp:
         path.write_text(json.dumps(payload), "utf-8")
 
 
+@one_blas_thread()
 def fit_mlp(X: np.ndarray, y: np.ndarray, config: MlpConfig = MlpConfig()) -> FittedMlp:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

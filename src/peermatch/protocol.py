@@ -250,16 +250,3 @@ def exchange_and_resolve(
         r=int(choice is not None and choice == exercise.key),
         transcript=(step1, step2, step3, step4),
     )
-
-
-def option_leaks(record: PairedResponseRecord, exercise: Exercise) -> list[tuple[int, str]]:
-    """(step, option text) pairs where option text leaked into a step 1-3 prompt."""
-    leaks = []
-    for step in record.transcript:
-        if step.step >= 4:
-            continue
-        for event in step.calls:
-            for text in exercise.options:
-                if text and text in event.prompt:
-                    leaks.append((step.step, text))
-    return leaks

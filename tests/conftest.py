@@ -1,7 +1,6 @@
 import hypothesis
 import pytest
 
-from peermatch.backends import FunctionBackend
 from peermatch.corpus import Exercise
 from peermatch.personas import Learner, Persona, default_cohort, default_prompts
 
@@ -44,7 +43,3 @@ def learner():
 @pytest.fixture
 def partner():
     return Learner(id="L-b", persona=Persona(-1, 1))
-
-
-def scripted(reply: str) -> FunctionBackend:
-    return FunctionBackend(lambda prompt, params: reply, name="scripted")

@@ -43,6 +43,23 @@ def dense_predict(X: np.ndarray, y: np.ndarray, p: KernelParams, x_star: np.ndar
     return mean, variance
 
 
+def dense_mll_gradient(X: np.ndarray, y: np.ndarray, p: KernelParams, jitter: float = 0.0) -> np.ndarray:
+    """GPML eq. 5.9 over (log sf2, log lengthscale, log sn2), through a dense inverse.
+
+    ``jitter`` is added to the diagonal of K before inverting, as the
+    library's factorization does, and does not enter dK/dtheta.
+    """
+    n = X.shape[0]
+    K = dense_covariance(X, p)
+    noise_free = K - p.noise_variance * np.eye(n)
+    D2 = np.array([[float(np.sum((X[i] - X[j]) ** 2)) for j in range(n)] for i in range(n)])
+    K_inv = np.linalg.inv(K + jitter * np.eye(n))
+    alpha = K_inv @ y
+    W = np.outer(alpha, alpha) - K_inv
+    derivatives = (noise_free, noise_free * D2 / p.lengthscale**2, p.noise_variance * np.eye(n))
+    return np.array([0.5 * np.trace(W @ dK) for dK in derivatives])
+
+
 def finite_difference_gradient(X: np.ndarray, y: np.ndarray, p: KernelParams, h: float = 1e-5) -> np.ndarray:
     theta = p.log_vector()
     grad = np.zeros(3)

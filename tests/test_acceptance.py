@@ -22,7 +22,7 @@ from peermatch.harness import default_suite_configs, default_synthetic_corpus, r
 from peermatch.metrics import CATEGORY_ORDER, format_gain_cell
 from peermatch.pareto import ScoreVector, dominates, pareto_front
 from peermatch.personas import default_cohort
-from peermatch.protocol import option_leaks
+from doubles import option_leaks
 from oracles import brute_force_front, dense_mll, dense_predict, finite_difference_gradient
 
 from peermatch.gp import FittedGp

@@ -8,7 +8,6 @@ import pytest
 from peermatch.backends import (
     CachingBackend,
     DecodeParams,
-    FunctionBackend,
     HttpBackend,
     LiveConfig,
     MockBackend,
@@ -18,6 +17,7 @@ from peermatch.backends import (
 from peermatch.corpus import make_synthetic_corpus
 from peermatch.personas import Learner, Persona
 from peermatch.protocol import exchange_and_resolve, solo_prompt, solve_exercise
+from doubles import FunctionBackend
 
 
 def test_mock_is_pure(prompts, exercise, learner):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from peermatch import gp
 from peermatch.gp import (
     FitError,
     FittedGp,
@@ -19,7 +20,7 @@ from peermatch.gp import (
     SingularMatrixError,
 )
 from scipy.linalg import cho_solve
-from oracles import dense_mll, dense_covariance, dense_predict, finite_difference_gradient
+from oracles import dense_mll, dense_mll_gradient, dense_covariance, dense_predict, finite_difference_gradient
 
 P = KernelParams(signal_variance=1.0, lengthscale=1.0, noise_variance=0.1)
 
@@ -107,6 +108,42 @@ class TestGradient:
             numeric = finite_difference_gradient(X, y, p)
             rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
             assert rel < 1e-4
+
+    def test_matches_dense_inverse_oracle(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            n, d = rng.integers(2, 30), rng.integers(1, 6)
+            X = rng.standard_normal((n, d))
+            y = rng.standard_normal(n)
+            p = KernelParams(*np.exp(rng.uniform(-1.5, 1.5, 3)))
+            oracle = dense_mll_gradient(X, y, p)
+            assert np.linalg.norm(mll_gradient(X, y, p) - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+    def test_matches_dense_inverse_oracle_when_jitter_climbs(self):
+        # near-duplicate rows and negligible noise: K is singular in floating
+        # point, so the factorization needs jitter; a small signal variance
+        # keeps K + jitter I well enough conditioned for a tight comparison
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((8, 3))
+        X = np.vstack([X, X[:3] + 1e-9])
+        y = rng.standard_normal(11)
+        p = KernelParams(1e-8, 1.0, 1e-30)
+        jitter = gp._factor(covariance_matrix(X, p), y)[1]
+        assert jitter > 0.0
+        oracle = dense_mll_gradient(X, y, p, jitter)
+        assert np.linalg.norm(mll_gradient(X, y, p) - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+    def test_failed_inverse_raises_and_fit_uses_no_partial_inverse(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotri", lambda L, lower: (np.zeros_like(L), 2))
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((6, 2))
+        y = rng.standard_normal(6)
+        with pytest.raises(SingularMatrixError, match="dpotri"):
+            mll_gradient(X, y, P)
+        with pytest.raises(FitError, match="all restarts"):
+            fit_gp(X, y, GpFitConfig(restarts=1))
 
     def test_small_gradient_at_optimum(self):
         rng = np.random.default_rng(12)

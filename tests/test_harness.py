@@ -1,13 +1,17 @@
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from peermatch import harness
-from peermatch.backends import FunctionBackend, MockBackend, TransportError
+from peermatch.backends import MockBackend, TransportError
 from peermatch.corpus import make_synthetic_corpus
 from peermatch.gp import GpFitConfig
 from peermatch.harness import (
@@ -25,6 +29,7 @@ from peermatch.metrics import CATEGORY_ORDER
 from peermatch.nn import MlpConfig
 from peermatch.pareto import ScoreVector
 from peermatch.personas import default_cohort
+from doubles import FunctionBackend
 
 FAST_GP = GpFitConfig(restarts=0, max_iters=30, tol=1e-5)
 FAST_NN = MlpConfig(iters=300)
@@ -477,3 +482,55 @@ class TestSharedWork:
         cached = self._counted_suite(monkeypatch, tmp_path / "cache", "cache")
         assert cached == calls
         assert sum(1 for p in (tmp_path / "cache" / "cache").rglob("*") if p.is_file()) == len(calls)
+
+
+def _fast_gp_suite(out_dir):
+    """The seed-42 default suite with the quick GP fit, written to ``out_dir``."""
+    configs = [replace(cfg, gp_fit=FAST_GP) for cfg in default_suite_configs(seed=42)]
+    return run_suite(configs, default_synthetic_corpus(), out_dir=out_dir)
+
+
+# The partner each matched variant chose for every (learner, test domain) of
+# the seed-42 FAST_GP suite, in sorted (learner, domain) order, and the
+# SHA-256 of that suite's results.json. A change to the fit arithmetic that
+# flips a choice, or moves any reported byte, fails here.
+FAST_GP_CHOICES = {
+    "gp-global": "L7 L7 L7 L7 L7 L7 L7 L7 L7 L2 L2 L2 L1 L1 L1 L6 L6 L6 L1 L1 L1 L1 L1 L1 L1 L1 L1",
+    "gp-local": "L7 L7 L7 L7 L7 L7 L7 L7 L7 L2 L2 L2 L1 L1 L1 L6 L6 L6 L1 L1 L1 L1 L1 L1 L1 L1 L1",
+    "nn-global": "L7 L7 L8 L7 L7 L7 L6 L6 L6 L2 L2 L2 L1 L1 L1 L6 L6 L6 L2 L2 L2 L1 L0 L1 L0 L0 L0",
+    "nn-local": "L7 L7 L8 L7 L7 L7 L6 L6 L6 L2 L2 L2 L1 L1 L1 L6 L6 L6 L2 L2 L2 L1 L0 L1 L0 L0 L0",
+}
+FAST_GP_RESULTS_SHA256 = "48116abe8dfd618c37a79d0b27ca21706761291f095d4d2dd6bd971dfe7fa480"
+
+
+def test_fast_gp_suite_choices_and_results_are_pinned(tmp_path):
+    _fast_gp_suite(tmp_path)
+    raw = (tmp_path / "results.json").read_bytes()
+    choices = {}
+    for variant in json.loads(raw)["variants"]:
+        partners = {}
+        for s in variant["selections"]:
+            partners.setdefault((s["learner_id"], s["domain"]), set()).add(s["partner_id"])
+        if partners:
+            assert all(len(p) == 1 for p in partners.values()), variant["config"]["name"]
+            choices[variant["config"]["name"]] = " ".join(partners[k].pop() for k in sorted(partners))
+    assert choices == FAST_GP_CHOICES
+    assert hashlib.sha256(raw).hexdigest() == FAST_GP_RESULTS_SHA256
+
+
+def test_suite_bytes_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(harness.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    trees = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run(
+            [sys.executable, "-c", f"import test_harness; test_harness._fast_gp_suite({str(out)!r})"],
+            env=env, check=True, timeout=600,
+        )
+        trees[threads] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert trees["1"].keys() == trees["2"].keys()
+    differing = sorted(str(path) for path in trees["1"] if trees["1"][path] != trees["2"][path])
+    assert differing == []

@@ -2,15 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from peermatch.backends import DecodeParams, FunctionBackend, MockBackend, TransportError
+from peermatch.backends import DecodeParams, MockBackend, TransportError
 from peermatch.protocol import (
     ProtocolError,
-    option_leaks,
     parse_choice,
     solve_exercise,
     exchange_and_resolve,
 )
 from peermatch.corpus import strip_options
+from doubles import FunctionBackend, option_leaks
 
 LABELS = ("A", "B", "C", "D")
 
