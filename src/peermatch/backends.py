@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .hashing import sha256_hex, stable_u64, unit_uniform
-from .personas import PromptSet, default_prompts
+from .personas import default_prompts
 
 
 class TransportError(RuntimeError):
@@ -76,19 +76,16 @@ class MockBackend:
     only, never on the role wording. Distinct variants that pose the same
     question to the same learner therefore share one underlying uniform
     draw, which makes their accuracies comparable draw by draw.
+
+    Prompts are parsed with the packaged wording (``default_prompts()``),
+    the same wording the protocol writes them with.
     """
 
-    def __init__(
-        self,
-        seed: int,
-        base_difficulty: float = 0.4,
-        complementarity_bonus: float = 0.3,
-        prompts: PromptSet | None = None,
-    ):
+    def __init__(self, seed: int, base_difficulty: float = 0.4, complementarity_bonus: float = 0.3):
         self.seed = seed
         self.base_difficulty = base_difficulty
         self.complementarity_bonus = complementarity_bonus
-        self.prompts = prompts or default_prompts()
+        self.prompts = default_prompts()
         self.name = (
             f"mock/v{self.prompts.version}/seed={seed}"
             f"/base={base_difficulty!r}/bonus={complementarity_bonus!r}"

@@ -28,11 +28,12 @@ from .harness import (
     run_suite,
     run_variant,
 )
-from .personas import Learner, Persona, default_prompts
+from .personas import Learner, Persona
 from .protocol import solve_exercise
 
 SUITE_KEYS = {"corpus", "seed", "backend", "train_domains", "mock", "live", "variants", "variant"}
-MOCK_KEYS = {"base_difficulty", "bonus"}
+# config-file `mock` keys and the VariantConfig fields they set
+MOCK_KEYS = {"base_difficulty": "mock_base_difficulty", "bonus": "mock_bonus"}
 LIVE_KEYS = tuple(f.name for f in fields(LiveConfig))
 
 
@@ -48,8 +49,6 @@ def _variant_from_dict(raw: dict, shared: dict) -> VariantConfig:
     missing = [k for k in ("name", "role_setting", "co_learning") if k not in merged]
     if missing:
         raise ConfigError(f"variant {raw.get('name', '?')!r}: missing key(s) {missing}")
-    if "train_domains" in merged:
-        merged["train_domains"] = tuple(merged["train_domains"])
     return VariantConfig(**merged)
 
 
@@ -74,12 +73,9 @@ def _shared_from_config(raw: dict, args) -> dict:
     if "backend" in raw:
         shared["backend"] = raw["backend"]
     if "train_domains" in raw:
-        shared["train_domains"] = tuple(raw["train_domains"])
-    mock = raw.get("mock", {})
-    if "base_difficulty" in mock:
-        shared["mock_base_difficulty"] = float(mock["base_difficulty"])
-    if "bonus" in mock:
-        shared["mock_bonus"] = float(mock["bonus"])
+        shared["train_domains"] = raw["train_domains"]
+    for key, value in raw.get("mock", {}).items():
+        shared[MOCK_KEYS[key]] = float(value)
     if args.seed is not None:
         shared["seed"] = args.seed
     if args.backend is not None:
@@ -127,7 +123,6 @@ def _cmd_profile(args) -> int:
     )
     out = Path(args.out)
     backend = build_backend(cfg, cache_dir=out / "cache")
-    prompts = default_prompts()
     probe = Learner(id="probe", persona=Persona(0, 0))
     records = []
     for repeat in range(args.repeats):
@@ -138,7 +133,6 @@ def _cmd_profile(args) -> int:
                     exercise,
                     backend,
                     params=DecodeParams(seed=repeat),
-                    prompts=prompts,
                     use_persona=False,
                 )
             )
@@ -163,12 +157,7 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(f"{args.config}: simulate needs a 'variant' object")
     cfg = _variant_from_dict(variant_raw, shared)
     corpus = _resolve_corpus(raw.get("corpus"))
-    out_dir = Path(args.out) if args.out else None
-    result = run_variant(
-        cfg, corpus, out_dir=out_dir,
-        cache_dir=(out_dir / "cache" if out_dir else None),
-        live=_live_from_config(raw),
-    )
+    result = run_variant(cfg, corpus, out_dir=args.out, live=_live_from_config(raw))
     stats = result.stats()
     for category, cell in stats.items():
         print(f"{cfg.name} {category}: mean={cell.mean:.4f} best={cell.best:.4f} std={cell.std:.4f}")

@@ -48,16 +48,15 @@ class HashingEmbedder:
     never tokenizes on whitespace.
     """
 
-    def __init__(self, dim: int = 32, seed: int = 0, ngram_sizes: tuple[int, ...] = (1, 2, 3)):
+    def __init__(self, dim: int = 32, seed: int = 0):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
         self.seed = seed
-        self.ngram_sizes = ngram_sizes
 
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.float64)
-        for n in self.ngram_sizes:
+        for n in (1, 2, 3):
             for i in range(len(text) - n + 1):
                 h = stable_u64("ngram", str(self.seed), str(n), text[i : i + n])
                 sign = 1.0 if h & 1 else -1.0

@@ -202,12 +202,16 @@ class GpFitConfig:
     tol: float = 1e-7
     init: tuple[float, float, float] = (1.0, 1.0, 0.1)
     seed: int = 0
-    trace: bool = False
 
 
 @dataclass(frozen=True, eq=False)
 class FittedGp:
-    """A fitted GP: data, hyperparameters, and the cached factorization."""
+    """A fitted GP: data, hyperparameters, and the cached factorization.
+
+    ``trace`` holds the winning ascent's accepted steps as rows of
+    ``(mll, *log params)``, the start first; ``save`` does not write it, so
+    a reloaded snapshot has none.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -274,7 +278,7 @@ def _ascend(D2, y, theta0, config: GpFitConfig):
         grad = gradient()
     except SingularMatrixError:
         return -np.inf, theta, []
-    path = [(value, *theta)] if config.trace else []
+    path = [(value, *theta)]
     step = STEP0
     for _ in range(config.max_iters):
         gnorm = float(np.linalg.norm(grad))
@@ -299,8 +303,7 @@ def _ascend(D2, y, theta0, config: GpFitConfig):
             s *= 0.5
         if not accepted:
             break
-        if config.trace:
-            path.append((value, *theta))
+        path.append((value, *theta))
         if improvement < config.tol:
             break
     return value, theta, path

@@ -52,7 +52,7 @@ from .pareto import (
     save_front_dumps,
     score_vector,
 )
-from .personas import Learner, PromptSet, default_cohort, default_prompts
+from .personas import Learner, default_cohort
 from .protocol import (
     CallEvent,
     PairedResponseRecord,
@@ -84,7 +84,7 @@ class VariantConfig:
     A regressor requires co-learning, and a Pareto mode requires a
     regressor (and vice versa: selection without a front is undefined).
     ``train_domains`` are held out for regressor training; every other
-    domain is evaluated.
+    domain is evaluated. Any sequence of domain names is stored as a tuple.
     """
 
     name: str
@@ -101,6 +101,9 @@ class VariantConfig:
     gain_baseline: str = "self"
     gp_fit: GpFitConfig = field(default_factory=lambda: SUITE_GP_FIT)
     nn_fit: MlpConfig = field(default_factory=MlpConfig)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "train_domains", tuple(self.train_domains))
 
     def validate(self) -> None:
         if self.regressor not in REGRESSOR_KINDS:
@@ -130,9 +133,7 @@ class VariantConfig:
         )
 
     def echo(self) -> dict:
-        out = {key: getattr(self, key) for key in CONFIG_KEYS}
-        out["train_domains"] = list(self.train_domains)
-        return out
+        return {key: getattr(self, key) for key in CONFIG_KEYS}
 
 
 # Config-file and results.json keys: every field except the fit settings.
@@ -233,8 +234,8 @@ class _SuiteWork:
     was asked for; a ``make`` that raises stores nothing. The kinds of work
     are backend calls, train phases, datasets, fits and stem embeddings. A
     key starts with its kind and holds everything the value depends on
-    except the corpus, cohort, prompts and embedder, which must stay the
-    same for the object's life, as they do across the variants of a suite.
+    except the corpus and cohort, which must stay the same for the object's
+    life, as they do across the variants of a suite.
     """
 
     def __init__(self) -> None:
@@ -341,10 +342,7 @@ def run_variant(
     cohort: Mapping[str, Learner] | None = None,
     *,
     backend: CompletionBackend | None = None,
-    prompts: PromptSet | None = None,
-    emb=None,
     out_dir: str | Path | None = None,
-    cache_dir: str | Path | None = None,
     live: LiveConfig | None = None,
     shared: _SuiteWork | None = None,
 ) -> RunResult:
@@ -365,19 +363,18 @@ def run_variant(
     ``shared`` is the work ``run_suite`` shares between its variants:
     backend replies, train phases, datasets, fits and stem embeddings, each
     computed once. Without it the variant makes its own, which changes no
-    output.
+    output. A cache backend keeps its replay cache in ``out_dir / "cache"``.
     """
     cfg.validate()
     cohort = cohort or default_cohort()
     train_blocks, test_blocks = _split_blocks(cfg, corpus)
+    out = Path(out_dir) if out_dir is not None else None
     work = shared or _SuiteWork()
+    cache_dir = out / "cache" if out is not None else None
     backend = _MemoBackend(backend or build_backend(cfg, cache_dir=cache_dir, live=live), work)
-    prompts = prompts or default_prompts()
-    emb = emb or work.embedder
     learners = [cohort[key] for key in sorted(cohort)]
     if len(learners) < 2 and cfg.co_learning:
         raise ConfigError(f"{cfg.name}: co-learning needs at least two learners")
-    out = Path(out_dir) if out_dir is not None else None
     others = {l.id: [p for p in learners if p.id != l.id] for l in learners}
     all_blocks = train_blocks + test_blocks
     test_exercises = [e for b in test_blocks for e in b.exercises]
@@ -402,13 +399,13 @@ def run_variant(
                 # the pair protocol always speaks through personas, so the
                 # solo answers a matched variant trains on do too
                 records.append(solve_exercise(
-                    learner, exercise, backend, params=params, prompts=prompts,
+                    learner, exercise, backend, params=params,
                     use_persona=cfg.role_setting or cfg.co_learning,
                     sink=log.sink(None, exercise.id),
                 ))
             else:
                 records.append(exchange_and_resolve(
-                    learner, partner, exercise, backend, params=params, prompts=prompts,
+                    learner, partner, exercise, backend, params=params,
                     sink=log.sink(partner.id, exercise.id),
                 ))
         return records
@@ -435,7 +432,7 @@ def run_variant(
         transcript.lines.extend(train.lines)
 
         def dataset() -> tuple[np.ndarray, np.ndarray]:
-            X, y = dataset_arrays(build_dataset(cohort, train_blocks, train.scores, emb, cfg.gain_baseline))
+            X, y = dataset_arrays(build_dataset(cohort, train_blocks, train.scores, work.embedder, cfg.gain_baseline))
             return _read_only(X), _read_only(y)
 
         dataset_key = ("dataset", backend.name, cfg.train_domains, cfg.gain_baseline)
@@ -453,7 +450,7 @@ def run_variant(
             front, fell_back = resolve_front(learner.id, train.scores, train_blocks, global_vectors, cfg.pareto)
             lp_fallbacks += int(fell_back)
             for block in test_blocks:
-                scored = rank_candidates(learner, front, fitted, block, emb, cohort, cfg.selection_rule)
+                scored = rank_candidates(learner, front, fitted, block, work.embedder, cohort, cfg.selection_rule)
                 partner = cohort[scored[0].learner_id]
                 front_dumps.append({**dump_front(front, scored), "domain": block.domain, "chosen": partner.id})
                 for exercise in block.exercises:
@@ -490,19 +487,19 @@ def run_variant(
 
 
 DEFAULT_SYNTH_SPEC = (
-    ("number_theory", "STEM", 10),
-    ("circuit_design", "STEM", 10),
-    ("market_research", "Social Science", 10),
-    ("urban_geography", "Social Science", 10),
-    ("modern_poetry", "Humanities", 10),
-    ("formal_logic", "Humanities", 10),
+    ("number_theory", "STEM"),
+    ("circuit_design", "STEM"),
+    ("market_research", "Social Science"),
+    ("urban_geography", "Social Science"),
+    ("modern_poetry", "Humanities"),
+    ("formal_logic", "Humanities"),
 )
 DEFAULT_TRAIN_DOMAINS = ("number_theory", "market_research", "modern_poetry")
 
 
 def default_synthetic_corpus(seed: int = 0, per_domain: int = 10) -> list[Exercise]:
     """Six synthetic domains, two per major category, with mock-consistent keys."""
-    spec = tuple((d, c, per_domain) for d, c, _ in DEFAULT_SYNTH_SPEC)
+    spec = tuple((d, c, per_domain) for d, c in DEFAULT_SYNTH_SPEC)
     return make_synthetic_corpus(spec, seed=seed, key_fn=mock_correct_label)
 
 
@@ -517,7 +514,7 @@ def default_suite_configs(
     shared = dict(
         seed=seed,
         backend=backend,
-        train_domains=tuple(train_domains),
+        train_domains=train_domains,
         mock_base_difficulty=mock_base_difficulty,
         mock_bonus=mock_bonus,
     )
@@ -563,15 +560,12 @@ def run_suite(
         raise ConfigError("suite needs a baseline variant (no roles, no co-learning)")
     baseline = baselines[0]
     cohort = cohort or default_cohort()
-    cache_dir = Path(out_dir) / "cache" if out_dir is not None else None
     work = _SuiteWork()
 
     results: list[RunResult] = []
     for cfg in configs:
         try:
-            results.append(
-                run_variant(cfg, corpus, cohort, out_dir=out_dir, cache_dir=cache_dir, live=live, shared=work)
-            )
+            results.append(run_variant(cfg, corpus, cohort, out_dir=out_dir, live=live, shared=work))
         except Exception as exc:
             # re-raise the same object: rebuilding it would drop attributes
             # such as TransportError.step and fails for richer constructors
@@ -637,8 +631,6 @@ def rerender_reports(out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     payload = json.loads((out_dir / "results.json").read_text("utf-8"))
     variants = payload["variants"]
-    configs = [
-        VariantConfig(**{**v["config"], "train_domains": tuple(v["config"]["train_domains"])}) for v in variants
-    ]
+    configs = [VariantConfig(**v["config"]) for v in variants]
     table = build_table([(cfg.name, compute_metrics(v["per_learner"])) for cfg, v in zip(configs, variants)])
     _write_reports(out_dir, table, [cfg.component_flags() for cfg in configs], payload["baseline"])

@@ -2,8 +2,10 @@
 
 A persona fixes a subject bias (humanities/social vs. STEM) and a reasoning
 style (deductive, intuitive, inductive). The wording that turns a persona
-into a system prompt lives in a versioned JSON file so it can be swapped
-without code changes.
+into a system prompt is the packaged JSON file ``data/prompts_v1.json``,
+read through ``default_prompts()``. The protocol writes every prompt with
+it and the mock backend parses every prompt with it, so the two always
+agree.
 """
 
 from __future__ import annotations

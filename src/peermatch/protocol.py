@@ -175,13 +175,12 @@ def solve_exercise(
     backend: CompletionBackend,
     *,
     params: DecodeParams = DecodeParams(),
-    prompts: PromptSet | None = None,
     use_persona: bool = True,
     sink: Sink | None = None,
 ) -> ResponseRecord:
     """Independent answering; the score is 1 iff the parsed choice equals the key."""
     _require_answerable(exercise)
-    prompts = prompts or default_prompts()
+    prompts = default_prompts()
     system_text = prompts.system(learner.persona) if use_persona else prompts.neutral_system
     prompt = solo_prompt(prompts, system_text, exercise)
     reply = backend.complete(prompt, params)
@@ -204,14 +203,13 @@ def exchange_and_resolve(
     backend: CompletionBackend,
     *,
     params: DecodeParams = DecodeParams(),
-    prompts: PromptSet | None = None,
     sink: Sink | None = None,
 ) -> PairedResponseRecord:
     """Run the four-step pair protocol and score the anchoring learner."""
     if learner.id == partner.id:
         raise ProtocolError(f"learner {learner.id!r} cannot pair with itself")
     _require_answerable(exercise)
-    prompts = prompts or default_prompts()
+    prompts = default_prompts()
     bare = strip_options(exercise)
     own_system = prompts.system(learner.persona)
     partner_system = prompts.system(partner.persona)

@@ -41,7 +41,7 @@ def test_mock_correct_label_stable():
         mock_correct_label("stem", ())
 
 
-def test_mock_plants_complementarity_bonus(prompts):
+def test_mock_plants_complementarity_bonus():
     """Accuracy with an opposite-subject summary beats solo accuracy by ~the bonus."""
     stem_pool = make_synthetic_corpus([("probe", "STEM", 300)], seed=9, key_fn=mock_correct_label)
     anchor = Learner("a", Persona(1, 0))
@@ -51,18 +51,18 @@ def test_mock_plants_complementarity_bonus(prompts):
     solo = comp = same = 0
     for e in stem_pool:
         params = DecodeParams(seed=0)
-        solo += solve_exercise(anchor, e, backend, params=params, prompts=prompts).r
-        comp += exchange_and_resolve(anchor, comp_partner, e, backend, params=params, prompts=prompts).r
-        same += exchange_and_resolve(anchor, same_partner, e, backend, params=params, prompts=prompts).r
+        solo += solve_exercise(anchor, e, backend, params=params).r
+        comp += exchange_and_resolve(anchor, comp_partner, e, backend, params=params).r
+        same += exchange_and_resolve(anchor, same_partner, e, backend, params=params).r
     assert solo == same  # same uniform draw, same probability
     assert 0.32 <= solo / 300 <= 0.48
     assert 0.62 <= comp / 300 <= 0.78
     assert comp - solo >= 0  # bonus never flips a correct answer to wrong
 
 
-def test_mock_answers_carry_a_parseable_choice(prompts, exercise, learner):
+def test_mock_answers_carry_a_parseable_choice(exercise, learner):
     backend = MockBackend(seed=1)
-    record = solve_exercise(learner, exercise, backend, prompts=prompts)
+    record = solve_exercise(learner, exercise, backend)
     assert record.chosen_option in exercise.labels
     assert record.response_text
 

@@ -57,6 +57,19 @@ def test_simulate_variant(tmp_path, capsys):
     assert (tmp_path / "out" / "transcripts" / "solo.jsonl").exists()
 
 
+def test_simulate_cache_backend_keeps_its_cache_under_out(tmp_path, capsys):
+    cfg = _variant_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg), "--backend", "mock", "--out", str(tmp_path / "mock")]) == 0
+    mock_out = capsys.readouterr().out
+    out = tmp_path / "cached"
+    assert main(["simulate", "--config", str(cfg), "--backend", "cache", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == mock_out
+    entries = [p for p in (out / "cache").rglob("*") if p.is_file()]
+    calls = (out / "transcripts" / "solo.jsonl").read_text("utf-8").splitlines()
+    assert len(entries) == len(calls) == 9 * 60  # every learner answers every exercise alone, once
+    assert sorted(p.name for p in out.iterdir()) == ["cache", "transcripts"]
+
+
 def test_simulate_unknown_key_rejected(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"corpus": "synthetic", "variant": {"name": "x", "role_setting": True, "co_learning": False, "surprise": 1}}), "utf-8")

@@ -209,7 +209,7 @@ class TestFit:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((8, 1))
         y = rng.standard_normal(8)
-        model = fit_gp(X, y, GpFitConfig(seed=1, trace=True))
+        model = fit_gp(X, y, GpFitConfig(seed=1))
         assert len(model.trace) >= 2
         mlls = [row[0] for row in model.trace]
         assert mlls == sorted(mlls)

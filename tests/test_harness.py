@@ -195,6 +195,19 @@ class TestMatchedVariants:
         assert len(dumps) == 9 * 3
         assert {"mode", "anchor", "members", "domain", "chosen"} <= set(dumps[0])
 
+    def test_train_domains_list_runs_like_a_tuple(self, tmp_path):
+        domains = ["number_theory", "market_research", "modern_poetry"]
+        runs = {}
+        for kind, train_domains in (("list", domains), ("tuple", tuple(domains))):
+            cfg = cfg_with("gp-global", regressor="gp", pareto="global", train_domains=train_domains)
+            runs[kind] = run_variant(cfg, small_corpus(), out_dir=tmp_path / kind)
+        as_list, as_tuple = runs["list"], runs["tuple"]
+        assert as_list.config.train_domains == tuple(domains)
+        assert as_list.per_learner == as_tuple.per_learner
+        assert as_list.selections == as_tuple.selections
+        transcript = as_list.artifacts["transcript"]
+        assert (tmp_path / "list" / transcript).read_bytes() == (tmp_path / "tuple" / transcript).read_bytes()
+
     def test_lp_variant_uses_training_history_without_fallback(self):
         cfg = cfg_with("gp-local", regressor="gp", pareto="local")
         res = run_variant(cfg, small_corpus())

@@ -63,7 +63,7 @@ def test_solve_prompt_contains_system_stem_options(exercise, learner, prompts):
         seen["prompt"] = p
         return "Answer: A"
 
-    solve_exercise(learner, exercise, FunctionBackend(capture), prompts=prompts)
+    solve_exercise(learner, exercise, FunctionBackend(capture))
     prompt = seen["prompt"]
     assert prompts.system(learner.persona) in prompt
     assert exercise.stem in prompt
@@ -78,7 +78,7 @@ def test_solve_neutral_prompt_has_no_persona(exercise, learner, prompts):
         seen["prompt"] = p
         return "Answer: A"
 
-    solve_exercise(learner, exercise, FunctionBackend(capture), prompts=prompts, use_persona=False)
+    solve_exercise(learner, exercise, FunctionBackend(capture), use_persona=False)
     for phrase in list(prompts.subject.values()) + list(prompts.logic.values()):
         assert phrase not in seen["prompt"]
 
