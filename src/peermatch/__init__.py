@@ -8,7 +8,7 @@ reproducible experiment harness.
 """
 
 from .backends import CachingBackend, DecodeParams, HttpBackend, LiveConfig, MockBackend
-from .corpus import Exercise, ExerciseBlock, group_by_domain, load_corpus, sample_subset
+from .corpus import Exercise, ExerciseBlock, group_by_domain, load_corpus
 from .features import HashingEmbedder, build_dataset, index_scores, pair_gain
 from .gp import FittedGp, GpFitConfig, GpRegressor, KernelParams, fit_gp
 from .harness import VariantConfig, default_suite_configs, default_synthetic_corpus, run_suite, run_variant
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CachingBackend", "DecodeParams", "HttpBackend", "LiveConfig", "MockBackend",
-    "Exercise", "ExerciseBlock", "group_by_domain", "load_corpus", "sample_subset",
+    "Exercise", "ExerciseBlock", "group_by_domain", "load_corpus",
     "HashingEmbedder", "build_dataset", "index_scores", "pair_gain",
     "FittedGp", "GpFitConfig", "GpRegressor", "KernelParams", "fit_gp",
     "VariantConfig", "default_suite_configs", "default_synthetic_corpus", "run_suite", "run_variant",

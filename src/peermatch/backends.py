@@ -9,9 +9,9 @@ verified entirely offline.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
-import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
@@ -249,7 +249,9 @@ class HttpBackend:
         try:
             with urllib.request.urlopen(request, timeout=self.config.timeout_s) as response:
                 body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
+        # OSError covers URLError, timeouts and dropped connections;
+        # HTTPException a truncated body; ValueError bad UTF-8 or JSON
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(f"live backend call failed: {exc}") from exc
         try:
             return body["choices"][0]["message"]["content"]

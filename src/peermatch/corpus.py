@@ -1,4 +1,4 @@
-"""Multiple-choice corpus handling: loading, domain blocks, difficulty, subsets.
+"""Multiple-choice corpus handling: loading, domain blocks, difficulty, synthetic corpora.
 
 The input format follows the CMMLU layout: UTF-8 comma-delimited files with
 header ``id,question,A,B,C,D,answer``, one file per domain (filename is the
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
@@ -23,7 +22,6 @@ from .hashing import stable_u64
 log = logging.getLogger(__name__)
 
 OPTION_COLUMNS = ("A", "B", "C", "D")
-CATEGORIES = ("STEM", "Social Science", "Humanities", "other")
 
 
 class CorpusError(ValueError):
@@ -219,32 +217,6 @@ def difficulty_profile(exercises: Sequence[Exercise], records, repeats: int) -> 
             raise CorpusError(f"exercise {e.id!r}: expected {repeats} records, got {len(got)}")
         means[e.id] = sum(got) / repeats
     return DifficultyProfile(means=means, repeats=repeats)
-
-
-def sample_subset(
-    exercises: Sequence[Exercise],
-    spec: Sequence[tuple[str, int]],
-    seed: int,
-) -> list[Exercise]:
-    """Seeded per-domain uniform sample without replacement.
-
-    Selected items keep their original corpus order within each domain;
-    requested domains are emitted in spec order.
-    """
-    by_domain: dict[str, list[Exercise]] = {}
-    for e in exercises:
-        by_domain.setdefault(e.domain, []).append(e)
-    rng = random.Random(seed)
-    chosen: list[Exercise] = []
-    for domain, n in spec:
-        if domain not in by_domain:
-            raise CorpusError(f"unknown domain {domain!r}")
-        pool = by_domain[domain]
-        if n < 0 or n > len(pool):
-            raise CorpusError(f"cannot sample {n} items from domain {domain!r} of size {len(pool)}")
-        indices = sorted(rng.sample(range(len(pool)), n))
-        chosen.extend(pool[i] for i in indices)
-    return chosen
 
 
 def make_synthetic_corpus(

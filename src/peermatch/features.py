@@ -8,9 +8,7 @@ baseline score.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -19,8 +17,6 @@ from .corpus import ExerciseBlock
 from .hashing import stable_u64
 from .personas import Learner, Persona
 from .protocol import PairedResponseRecord, ResponseRecord
-
-SHORT_DIM = 4  # two ternary axes for each side of the pair
 
 
 class CoverageError(ValueError):
@@ -32,33 +28,27 @@ class EmbeddingError(RuntimeError):
 
 
 class EmbeddingProvider(Protocol):
-    dim: int
-
     def embed(self, text: str) -> np.ndarray: ...
 
 
 class HashingEmbedder:
     """Deterministic fallback embedder: signed feature hashing of character n-grams.
 
-    Each 1-, 2- and 3-gram of the text lands in one of ``dim`` buckets with
-    a +/-1 sign, both derived from a seeded 64-bit hash; the result is
+    Each 1-, 2- and 3-gram of the text lands in one of 32 fixed buckets
+    with a +/-1 sign, both derived from a 64-bit hash; the result is
     L2-normalized. The same text always maps to the same vector; distinct
     texts collide only if every n-gram contribution coincides, which for
     64-bit hashes is negligible in practice. Works on any script since it
     never tokenizes on whitespace.
     """
 
-    def __init__(self, dim: int = 32, seed: int = 0):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.dim = dim
-        self.seed = seed
+    dim = 32
 
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.float64)
         for n in (1, 2, 3):
             for i in range(len(text) - n + 1):
-                h = stable_u64("ngram", str(self.seed), str(n), text[i : i + n])
+                h = stable_u64("ngram", "0", str(n), text[i : i + n])
                 sign = 1.0 if h & 1 else -1.0
                 vec[(h >> 1) % self.dim] += sign
         norm = float(np.linalg.norm(vec))
@@ -192,37 +182,3 @@ def dataset_arrays(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
     y = np.array([s.y for s in samples])
     return X, y
 
-
-def save_dataset(samples: Sequence[Sample], path: str | Path) -> None:
-    """Delimited export; x-column count pins the embedding dimension."""
-    if not samples:
-        raise ValueError("nothing to export")
-    dim = samples[0].x.shape[0] - SHORT_DIM
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["l_id", "ℓ_id", "domain", "y"] + [f"x_{i}" for i in range(SHORT_DIM + dim)])
-        for s in samples:
-            writer.writerow(
-                [s.learner_id, s.partner_id, s.domain, repr(float(s.y))] + [repr(float(v)) for v in s.x]
-            )
-
-
-def load_dataset(path: str | Path) -> list[Sample]:
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        n_x = len(header) - 4
-        samples = []
-        for row in reader:
-            samples.append(
-                Sample(
-                    x=np.array([float(v) for v in row[4 : 4 + n_x]]),
-                    y=float(row[3]),
-                    learner_id=row[0],
-                    partner_id=row[1],
-                    domain=row[2],
-                )
-            )
-        return samples

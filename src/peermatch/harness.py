@@ -32,6 +32,7 @@ from .features import EmbeddingProvider, HashingEmbedder, ScoreIndex, build_data
 from .gp import GpFitConfig, GpRegressor
 from .hashing import stable_u64
 from .metrics import (
+    CATEGORY_ORDER,
     MetricsTable,
     Stats,
     build_table,
@@ -66,7 +67,7 @@ log = logging.getLogger(__name__)
 REGRESSOR_KINDS = ("none", "gp", "nn")
 PARETO_MODES = ("none", "global", "local")
 BACKEND_KINDS = ("mock", "cache", "live")
-REQUIRED_TEST_CATEGORIES = ("STEM", "Social Science", "Humanities")
+REQUIRED_TEST_CATEGORIES = CATEGORY_ORDER[:-1]  # every report category but "Total"
 
 # Lighter than the library-wide fit defaults so a full 7-variant suite stays
 # within its runtime budget; recovery-grade fits use GpFitConfig() directly.
@@ -84,7 +85,8 @@ class VariantConfig:
     A regressor requires co-learning, and a Pareto mode requires a
     regressor (and vice versa: selection without a front is undefined).
     ``train_domains`` are held out for regressor training; every other
-    domain is evaluated. Any sequence of domain names is stored as a tuple.
+    domain is evaluated. A list or tuple of domain names is stored as a
+    tuple; a bare string is rejected rather than split into letters.
     """
 
     name: str
@@ -103,6 +105,10 @@ class VariantConfig:
     nn_fit: MlpConfig = field(default_factory=MlpConfig)
 
     def __post_init__(self) -> None:
+        if isinstance(self.train_domains, str):
+            raise ConfigError(
+                f"{self.name}: train_domains must be a list of domain names, got the string {self.train_domains!r}"
+            )
         object.__setattr__(self, "train_domains", tuple(self.train_domains))
 
     def validate(self) -> None:
@@ -162,7 +168,6 @@ class RunResult:
 
     config: VariantConfig
     per_learner: dict[str, dict[str, float]]
-    train_solo: tuple[ResponseRecord, ...]
     train_paired: tuple[PairedResponseRecord, ...]
     test_solo: tuple[ResponseRecord, ...]
     test_paired: tuple[PairedResponseRecord, ...]
@@ -271,7 +276,6 @@ class _MemoEmbedder:
 
     def __init__(self, inner: EmbeddingProvider, work: _SuiteWork):
         self.inner = inner
-        self.dim = inner.dim
         self._once = work.once
 
     def embed(self, text: str) -> np.ndarray:
@@ -280,9 +284,8 @@ class _MemoEmbedder:
 
 @dataclass(frozen=True, eq=False)
 class _TrainPhase:
-    """A matched variant's train records, their score index and transcript lines."""
+    """A matched variant's paired train records, their score index and transcript lines."""
 
-    solo: tuple[ResponseRecord, ...]
     paired: tuple[PairedResponseRecord, ...]
     scores: ScoreIndex
     lines: tuple[str, ...]
@@ -311,7 +314,7 @@ def _accuracies(
     records: Iterable,
 ) -> dict[str, dict[str, float]]:
     category_of = {e.id: e.category for b in test_blocks for e in b.exercises}
-    scores = {l.id: {c: [] for c in (*REQUIRED_TEST_CATEGORIES, "Total")} for l in learners}
+    scores = {l.id: {c: [] for c in CATEGORY_ORDER} for l in learners}
     for rec in records:
         by_key = scores[rec.learner_id]
         by_key["Total"].append(rec.r)
@@ -380,7 +383,7 @@ def run_variant(
     test_exercises = [e for b in test_blocks for e in b.exercises]
 
     transcript = _TranscriptLog()
-    train = _TrainPhase((), (), {}, ())
+    train = _TrainPhase((), {}, ())
     selections: list[SelectionEvent] = []
     front_dumps: list[dict] = []
     lp_fallbacks = 0
@@ -416,7 +419,7 @@ def run_variant(
         paired = execute(
             ((l, p, e) for l in learners for p in others[l.id] for b in train_blocks for e in b.exercises), log
         )
-        return _TrainPhase(tuple(solo), tuple(paired), index_scores(solo, paired), tuple(log.lines))
+        return _TrainPhase(tuple(paired), index_scores(solo, paired), tuple(log.lines))
 
     if not cfg.co_learning:
         test_jobs = [(l, None, e) for l in learners for e in test_exercises]
@@ -476,7 +479,6 @@ def run_variant(
     return RunResult(
         config=cfg,
         per_learner=per_learner,
-        train_solo=train.solo,
         train_paired=train.paired,
         test_solo=() if cfg.co_learning else tuple(test_records),
         test_paired=tuple(test_records) if cfg.co_learning else (),
@@ -503,21 +505,13 @@ def default_synthetic_corpus(seed: int = 0, per_domain: int = 10) -> list[Exerci
     return make_synthetic_corpus(spec, seed=seed, key_fn=mock_correct_label)
 
 
-def default_suite_configs(
-    seed: int = 0,
-    train_domains: Sequence[str] = DEFAULT_TRAIN_DOMAINS,
-    backend: str = "mock",
-    mock_base_difficulty: float = 0.4,
-    mock_bonus: float = 0.3,
-) -> list[VariantConfig]:
-    """The seven shipped variants, ordered from no modeling to full matching."""
-    shared = dict(
-        seed=seed,
-        backend=backend,
-        train_domains=train_domains,
-        mock_base_difficulty=mock_base_difficulty,
-        mock_bonus=mock_bonus,
-    )
+def default_suite_configs(**shared) -> list[VariantConfig]:
+    """The seven shipped variants, ordered from no modeling to full matching.
+
+    Each keyword is a ``VariantConfig`` field that every variant shares;
+    ``train_domains`` defaults to ``DEFAULT_TRAIN_DOMAINS``.
+    """
+    shared.setdefault("train_domains", DEFAULT_TRAIN_DOMAINS)
     return [
         VariantConfig(name="baseline", role_setting=False, co_learning=False, **shared),
         VariantConfig(name="solo", role_setting=True, co_learning=False, **shared),

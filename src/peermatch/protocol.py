@@ -49,7 +49,6 @@ class CallEvent:
     actor_id: str
     prompt: str
     reply: str
-    params: DecodeParams
 
     @property
     def prompt_hash(self) -> str:
@@ -70,8 +69,6 @@ class PairedResponseRecord:
     learner_id: str
     partner_id: str
     exercise_id: str
-    step1_texts: tuple[str, str]
-    summary_text: str
     final_choice: str | None
     r: int
     transcript: tuple[ProtocolStep, ...]
@@ -185,7 +182,7 @@ def solve_exercise(
     prompt = solo_prompt(prompts, system_text, exercise)
     reply = backend.complete(prompt, params)
     if sink is not None:
-        sink(0, CallEvent(learner.id, prompt, reply, params))
+        sink(0, CallEvent(learner.id, prompt, reply))
     choice = parse_choice(reply, exercise.labels)
     return ResponseRecord(
         learner_id=learner.id,
@@ -220,7 +217,7 @@ def exchange_and_resolve(
         except TransportError as exc:
             exc.step = step
             raise
-        event = CallEvent(actor_id, prompt, reply, params)
+        event = CallEvent(actor_id, prompt, reply)
         if sink is not None:
             sink(step, event)
         return event
@@ -242,8 +239,6 @@ def exchange_and_resolve(
         learner_id=learner.id,
         partner_id=partner.id,
         exercise_id=exercise.id,
-        step1_texts=(own_draft.reply, partner_draft.reply),
-        summary_text=summary.reply,
         final_choice=choice,
         r=int(choice is not None and choice == exercise.key),
         transcript=(step1, step2, step3, step4),

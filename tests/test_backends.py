@@ -1,3 +1,4 @@
+import http.client
 import io
 import json
 import urllib.error
@@ -183,6 +184,32 @@ def test_http_backend_network_failure(monkeypatch):
     monkeypatch.setattr("urllib.request.urlopen", boom)
     backend = HttpBackend(LiveConfig(base_url="http://x", model="m"))
     with pytest.raises(TransportError, match="connection refused"):
+        backend.complete("hi", DecodeParams())
+
+
+class _TruncatedResponse(_FakeResponse):
+    def read(self, *args):
+        raise http.client.IncompleteRead(b'{"choices": [', 120)
+
+
+def _dropped_connection(request, timeout):
+    raise http.client.RemoteDisconnected("Remote end closed connection without response")
+
+
+@pytest.mark.parametrize(
+    "urlopen",
+    [
+        _dropped_connection,
+        lambda request, timeout: _TruncatedResponse(b""),
+        lambda request, timeout: _FakeResponse(b'{"choices": "\xff\xfe"}'),
+    ],
+    ids=["remote-disconnected", "incomplete-read", "non-utf8-body"],
+)
+def test_http_backend_failures_past_the_send_are_transport_errors(monkeypatch, urlopen):
+    monkeypatch.setenv("PEERMATCH_API_TOKEN", "t")
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    backend = HttpBackend(LiveConfig(base_url="http://x", model="m"))
+    with pytest.raises(TransportError, match="live backend call failed"):
         backend.complete("hi", DecodeParams())
 
 

@@ -78,6 +78,14 @@ def test_simulate_unknown_key_rejected(tmp_path, capsys):
     assert "surprise" in capsys.readouterr().err
 
 
+def test_simulate_rejects_bare_string_train_domains(tmp_path, capsys):
+    cfg = _variant_config(tmp_path, train_domains="number_theory")
+    rc = main(["simulate", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "train_domains must be a list of domain names, got the string 'number_theory'" in err
+
+
 def test_suite_config_unknown_top_level_key(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"corpus": "synthetic", "extra": True}), "utf-8")

@@ -15,7 +15,6 @@ from peermatch.corpus import (
     group_by_domain,
     load_corpus,
     make_synthetic_corpus,
-    sample_subset,
     save_corpus,
     strip_options,
 )
@@ -179,23 +178,6 @@ def test_profile_bounds_and_export(tmp_path):
     lines = (tmp_path / "difficulty.csv").read_text("utf-8").strip().splitlines()
     assert lines[0] == "exercise_id,mean_accuracy,n_repeats"
     assert len(lines) == 5
-
-
-def test_sample_subset_deterministic_and_sized():
-    corpus = load_corpus(fixture_corpus_path())
-    first = sample_subset(corpus, [("logical", 26)], seed=5)
-    assert len(first) == 26
-    assert all(e.domain == "logical" for e in first)
-    assert sample_subset(corpus, [("logical", 26)], seed=5) == first
-    assert sample_subset(corpus, [("arts", 0)], seed=5) == []
-
-
-def test_sample_subset_errors():
-    corpus = load_corpus(fixture_corpus_path())
-    with pytest.raises(CorpusError, match="unknown domain"):
-        sample_subset(corpus, [("nope", 1)], seed=0)
-    with pytest.raises(CorpusError, match="cannot sample"):
-        sample_subset(corpus, [("arts", 200)], seed=0)
 
 
 def test_strip_options_identity_and_fields(exercise):

@@ -13,9 +13,7 @@ from peermatch.features import (
     domain_vector,
     index_scores,
     learner_short_vector,
-    load_dataset,
     pair_gain,
-    save_dataset,
 )
 from peermatch.personas import Learner, Persona, enumerate_personas
 from peermatch.protocol import PairedResponseRecord, ResponseRecord
@@ -49,8 +47,6 @@ def _paired(learner_id, partner_id, block, outcomes):
             learner_id=learner_id,
             partner_id=partner_id,
             exercise_id=e.id,
-            step1_texts=("d1", "d2"),
-            summary_text="s",
             final_choice="A",
             r=r,
             transcript=_steps(),
@@ -61,7 +57,7 @@ def _paired(learner_id, partner_id, block, outcomes):
 
 class TestHashingEmbedder:
     def test_shape_and_determinism(self):
-        emb = HashingEmbedder(dim=32, seed=0)
+        emb = HashingEmbedder()
         v = emb.embed("双曲线的渐近线")
         assert v.shape == (32,)
         assert np.all(np.isfinite(v))
@@ -79,9 +75,6 @@ class TestHashingEmbedder:
         pairs = [("ab", "ba"), ("aa", "aaa"), ("question one", "question two"), ("甲", "乙")]
         for t1, t2 in pairs:
             assert not np.allclose(emb.embed(t1), emb.embed(t2))
-
-    def test_seed_changes_hashing(self):
-        assert not np.allclose(HashingEmbedder(seed=0).embed("x y z"), HashingEmbedder(seed=1).embed("x y z"))
 
 
 def test_learner_short_vector_values():
@@ -107,8 +100,6 @@ class TestDomainVector:
 
     def test_provider_failure_names_exercise(self):
         class Broken:
-            dim = 4
-
             def embed(self, text):
                 raise RuntimeError("no model")
 
@@ -118,12 +109,12 @@ class TestDomainVector:
 
 class TestSampleVector:
     def test_shape_is_4_plus_dim(self, learner, partner):
-        emb = HashingEmbedder(dim=8)
+        emb = HashingEmbedder()
         vec = build_sample_vector(learner, partner, _block(), emb)
-        assert vec.shape == (12,)
+        assert vec.shape == (36,)
 
     def test_swap_permutes_short_parts_only(self, learner, partner):
-        emb = HashingEmbedder(dim=8)
+        emb = HashingEmbedder()
         block = _block()
         ab = build_sample_vector(learner, partner, block, emb)
         ba = build_sample_vector(partner, learner, block, emb)
@@ -219,30 +210,14 @@ def test_build_dataset_counts_and_bounds():
     cohort = {f"P{i}": Learner(f"P{i}", p) for i, p in enumerate(enumerate_personas()[:4])}
     blocks = [_block("d1", 4), _block("d2", 4)]
     paired, solo = _full_records(cohort, blocks)
-    samples = build_dataset(cohort, blocks, index_scores(solo, paired), HashingEmbedder(dim=8))
+    samples = build_dataset(cohort, blocks, index_scores(solo, paired), HashingEmbedder())
     assert len(samples) == 4 * 3 * 2
     assert all(-1.0 <= s.y <= 1.0 for s in samples)
-    assert all(s.x.shape == (12,) for s in samples)
+    assert all(s.x.shape == (36,) for s in samples)
     keys = [(s.learner_id, s.partner_id, s.domain) for s in samples]
     assert keys == sorted(keys)
-    again = build_dataset(cohort, blocks, index_scores(solo, paired), HashingEmbedder(dim=8))
+    again = build_dataset(cohort, blocks, index_scores(solo, paired), HashingEmbedder())
     assert all(np.allclose(a.x, b.x) and a.y == b.y for a, b in zip(samples, again))
-
-
-def test_dataset_round_trip(tmp_path):
-    cohort = {f"P{i}": Learner(f"P{i}", p) for i, p in enumerate(enumerate_personas()[:3])}
-    blocks = [_block("d1", 2)]
-    paired, solo = _full_records(cohort, blocks)
-    samples = build_dataset(cohort, blocks, index_scores(solo, paired), HashingEmbedder(dim=8))
-    save_dataset(samples, tmp_path / "samples.csv")
-    header = (tmp_path / "samples.csv").read_text("utf-8").splitlines()[0]
-    assert header.startswith("l_id,ℓ_id,domain,y,x_0")
-    assert header.endswith("x_11")
-    loaded = load_dataset(tmp_path / "samples.csv")
-    assert len(loaded) == len(samples)
-    for a, b in zip(samples, loaded):
-        assert (a.learner_id, a.partner_id, a.domain, a.y) == (b.learner_id, b.partner_id, b.domain, b.y)
-        assert np.array_equal(a.x, b.x)
 
 
 @given(st.lists(st.integers(0, 1), min_size=4, max_size=4), st.lists(st.integers(0, 1), min_size=4, max_size=4))

@@ -16,6 +16,7 @@ from peermatch.corpus import make_synthetic_corpus
 from peermatch.gp import GpFitConfig
 from peermatch.harness import (
     ConfigError,
+    DEFAULT_TRAIN_DOMAINS,
     SUITE_GP_FIT,
     VariantConfig,
     default_suite_configs,
@@ -95,6 +96,10 @@ class TestConfigValidation:
         cfg = cfg_with("bad", regressor="gp", pareto="global", train_domains=("nope",))
         with pytest.raises(ConfigError, match="nope"):
             run_variant(cfg, small_corpus(), backend=ExplodingBackend())
+
+    def test_bare_string_train_domains_rejected(self):
+        with pytest.raises(ConfigError, match="must be a list of domain names, got the string 'number_theory'"):
+            cfg_with("bad", regressor="gp", pareto="global", train_domains="number_theory")
 
     def test_test_split_must_cover_categories(self):
         corpus = make_synthetic_corpus(
@@ -347,6 +352,16 @@ def test_default_suite_configs_match_component_matrix():
     for cfg in configs:
         cfg.validate()
     assert configs[3].gp_fit == SUITE_GP_FIT
+
+
+def test_default_suite_configs_share_variant_defaults():
+    fields = ("seed", "backend", "mock_base_difficulty", "mock_bonus", "selection_rule", "gain_baseline")
+    plain = VariantConfig(name="plain", role_setting=False, co_learning=False)
+    for cfg in default_suite_configs():
+        assert cfg.train_domains == DEFAULT_TRAIN_DOMAINS
+        assert [getattr(cfg, f) for f in fields] == [getattr(plain, f) for f in fields]
+    for cfg in default_suite_configs(seed=4, mock_bonus=0.5, train_domains=["formal_logic"]):
+        assert (cfg.seed, cfg.mock_bonus, cfg.train_domains) == (4, 0.5, ("formal_logic",))
 
 
 def test_default_corpus_shape():

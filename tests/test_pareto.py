@@ -139,8 +139,6 @@ def _paired(lid, pid, block, outcomes):
             learner_id=lid,
             partner_id=pid,
             exercise_id=e.id,
-            step1_texts=("a", "b"),
-            summary_text="s",
             final_choice="A",
             r=r,
             transcript=steps,
