@@ -196,13 +196,14 @@ class CachingBackend:
         path = self._path_for(prompt, params)
         if path.exists():
             self.hits += 1
-            return path.read_text("utf-8")
+            # read and written without newline translation, which would turn \r\n into \n
+            return path.read_bytes().decode("utf-8")
         reply = self.inner.complete(prompt, params)
         path.parent.mkdir(parents=True, exist_ok=True)
         # a crash mid-write must not leave a truncated entry that replays as a hit
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(reply, "utf-8")
+            tmp.write_text(reply, "utf-8", newline="")
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -254,6 +255,9 @@ class HttpBackend:
         except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(f"live backend call failed: {exc}") from exc
         try:
-            return body["choices"][0]["message"]["content"]
+            content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"unexpected completion payload: {exc}") from exc
+        if not isinstance(content, str):
+            raise TransportError(f"unexpected completion payload: content is {type(content).__name__}, not a string")
+        return content

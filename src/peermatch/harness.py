@@ -237,7 +237,7 @@ class _SuiteWork:
 
     ``once(key, make)`` returns what ``make()`` gave the first time ``key``
     was asked for; a ``make`` that raises stores nothing. The kinds of work
-    are backend calls, train phases, datasets, fits and stem embeddings. A
+    are backend calls, protocol jobs, datasets, fits and stem embeddings. A
     key starts with its kind and holds everything the value depends on
     except the corpus and cohort, which must stay the same for the object's
     life, as they do across the variants of a suite.
@@ -280,15 +280,6 @@ class _MemoEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         return self._once(("embed", text), lambda: _read_only(self.inner.embed(text)))
-
-
-@dataclass(frozen=True, eq=False)
-class _TrainPhase:
-    """A matched variant's paired train records, their score index and transcript lines."""
-
-    paired: tuple[PairedResponseRecord, ...]
-    scores: ScoreIndex
-    lines: tuple[str, ...]
 
 
 def _split_blocks(cfg: VariantConfig, corpus: Sequence[Exercise]) -> tuple[list[ExerciseBlock], list[ExerciseBlock]]:
@@ -352,9 +343,10 @@ def run_variant(
     """Run one variant end to end and score its test phase per learner.
 
     Variants differ only in the protocol jobs they build. A job is
-    ``(learner, partner, exercise)``; one executor runs each list in order,
-    answering alone (``solve_exercise``) when the partner is ``None`` and
-    running the pair protocol (``exchange_and_resolve``) otherwise.
+    ``(learner, partner, exercise)``; one runner does each job, answering
+    alone (``solve_exercise``) when the partner is ``None`` and running the
+    pair protocol (``exchange_and_resolve``) otherwise, and appends the
+    job's transcript lines to the variant's transcript.
 
     - No co-learning: every learner answers every test exercise alone.
     - Random pairing: a partner per test exercise from a seeded ``random.Random``.
@@ -364,9 +356,13 @@ def run_variant(
       (learner, test block), and those pairs make the test jobs.
 
     ``shared`` is the work ``run_suite`` shares between its variants:
-    backend replies, train phases, datasets, fits and stem embeddings, each
-    computed once. Without it the variant makes its own, which changes no
-    output. A cache backend keeps its replay cache in ``out_dir / "cache"``.
+    backend replies, protocol jobs, datasets, fits and stem embeddings, each
+    computed once. A job's record and transcript lines depend only on the
+    backend, learner, partner, exercise and persona use, so the ``solo``
+    variant's answers are the train phase's persona solos, and matched
+    variants share every test pair they have in common. Without ``shared``
+    the variant makes its own, which changes no output. A cache backend
+    keeps its replay cache in ``out_dir / "cache"``.
     """
     cfg.validate()
     cohort = cohort or default_cohort()
@@ -383,7 +379,7 @@ def run_variant(
     test_exercises = [e for b in test_blocks for e in b.exercises]
 
     transcript = _TranscriptLog()
-    train = _TrainPhase((), {}, ())
+    train_paired: list[PairedResponseRecord] = []
     selections: list[SelectionEvent] = []
     front_dumps: list[dict] = []
     lp_fallbacks = 0
@@ -394,32 +390,26 @@ def run_variant(
         save(out / rel)
         artifacts[key] = str(rel)
 
-    def execute(jobs: Iterable[tuple[Learner, Learner | None, Exercise]], log: _TranscriptLog) -> list:
-        records = []
-        for learner, partner, exercise in jobs:
-            params = DecodeParams(seed=_decode_seed(learner.id, exercise.id))
-            if partner is None:
-                # the pair protocol always speaks through personas, so the
-                # solo answers a matched variant trains on do too
-                records.append(solve_exercise(
-                    learner, exercise, backend, params=params,
-                    use_persona=cfg.role_setting or cfg.co_learning,
-                    sink=log.sink(None, exercise.id),
-                ))
-            else:
-                records.append(exchange_and_resolve(
-                    learner, partner, exercise, backend, params=params,
-                    sink=log.sink(partner.id, exercise.id),
-                ))
-        return records
+    # the pair protocol always speaks through personas, so the solo answers
+    # a matched variant trains on do too
+    use_persona = cfg.role_setting or cfg.co_learning
 
-    def train_phase() -> _TrainPhase:
-        log = _TranscriptLog()
-        solo = execute(((l, None, e) for l in learners for b in all_blocks for e in b.exercises), log)
-        paired = execute(
-            ((l, p, e) for l in learners for p in others[l.id] for b in train_blocks for e in b.exercises), log
-        )
-        return _TrainPhase(tuple(paired), index_scores(solo, paired), tuple(log.lines))
+    def run_job(learner: Learner, partner: Learner | None, exercise: Exercise):
+        partner_id = partner.id if partner is not None else None
+
+        def make() -> tuple[ResponseRecord | PairedResponseRecord, tuple[str, ...]]:
+            log = _TranscriptLog()
+            params = DecodeParams(seed=_decode_seed(learner.id, exercise.id))
+            sink = log.sink(partner_id, exercise.id)
+            if partner is None:
+                record = solve_exercise(learner, exercise, backend, params=params, use_persona=use_persona, sink=sink)
+            else:
+                record = exchange_and_resolve(learner, partner, exercise, backend, params=params, sink=sink)
+            return record, tuple(log.lines)
+
+        record, lines = work.once(("job", backend.name, learner.id, partner_id, exercise.id, use_persona), make)
+        transcript.lines.extend(lines)
+        return record
 
     if not cfg.co_learning:
         test_jobs = [(l, None, e) for l in learners for e in test_exercises]
@@ -431,11 +421,14 @@ def run_variant(
             (l, others[l.id][rng.randrange(len(others[l.id]))], e) for l in learners for e in test_exercises
         ]
     else:
-        train = work.once(("train", backend.name, cfg.train_domains), train_phase)
-        transcript.lines.extend(train.lines)
+        solo = [run_job(l, None, e) for l in learners for b in all_blocks for e in b.exercises]
+        train_paired = [
+            run_job(l, p, e) for l in learners for p in others[l.id] for b in train_blocks for e in b.exercises
+        ]
+        scores = index_scores(solo, train_paired)
 
         def dataset() -> tuple[np.ndarray, np.ndarray]:
-            X, y = dataset_arrays(build_dataset(cohort, train_blocks, train.scores, work.embedder, cfg.gain_baseline))
+            X, y = dataset_arrays(build_dataset(cohort, train_blocks, scores, work.embedder, cfg.gain_baseline))
             return _read_only(X), _read_only(y)
 
         dataset_key = ("dataset", backend.name, cfg.train_domains, cfg.gain_baseline)
@@ -446,11 +439,11 @@ def run_variant(
         if out is not None:
             save_artifact("model", "models", ".json", fitted.save)
 
-        global_vectors = [score_vector(l.id, train.scores, all_blocks) for l in learners]
+        global_vectors = [score_vector(l.id, scores, all_blocks) for l in learners]
         subject_of = {l.id: l.persona.subject_pref for l in learners}
         test_jobs = []
         for learner in learners:
-            front, fell_back = resolve_front(learner.id, train.scores, train_blocks, global_vectors, cfg.pareto)
+            front, fell_back = resolve_front(learner.id, scores, train_blocks, global_vectors, cfg.pareto)
             lp_fallbacks += int(fell_back)
             for block in test_blocks:
                 scored = rank_candidates(learner, front, fitted, block, work.embedder, cohort, cfg.selection_rule)
@@ -467,7 +460,7 @@ def run_variant(
                     ))
                     test_jobs.append((learner, partner, exercise))
 
-    test_records = execute(test_jobs, transcript)
+    test_records = [run_job(*job) for job in test_jobs]
     per_learner = _accuracies(learners, test_blocks, test_records)
 
     if out is not None:
@@ -479,7 +472,7 @@ def run_variant(
     return RunResult(
         config=cfg,
         per_learner=per_learner,
-        train_paired=train.paired,
+        train_paired=tuple(train_paired),
         test_solo=() if cfg.co_learning else tuple(test_records),
         test_paired=tuple(test_records) if cfg.co_learning else (),
         selections=tuple(selections),
@@ -532,8 +525,6 @@ class SuiteResult:
     table: MetricsTable
     gain_text: str
     results: tuple[RunResult, ...]
-    baseline: str
-    out_dir: str | None
 
 
 def run_suite(
@@ -547,7 +538,7 @@ def run_suite(
     """Run every variant sequentially and render both report shapes.
 
     The variants share one ``_SuiteWork``: each distinct backend call,
-    train phase, dataset, fit and stem embedding is computed once per suite.
+    protocol job, dataset, fit and stem embedding is computed once per suite.
     """
     baselines = [cfg.name for cfg in configs if _is_baseline(cfg)]
     if not baselines:
@@ -598,13 +589,7 @@ def run_suite(
         }
         (out_dir / "results.json").write_text(json.dumps(payload, indent=1, sort_keys=True), "utf-8")
 
-    return SuiteResult(
-        table=table,
-        gain_text=gain_text,
-        results=tuple(results),
-        baseline=baseline,
-        out_dir=str(out_dir) if out_dir is not None else None,
-    )
+    return SuiteResult(table=table, gain_text=gain_text, results=tuple(results))
 
 
 def _write_reports(

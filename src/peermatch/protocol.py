@@ -58,7 +58,6 @@ class CallEvent:
 @dataclass(frozen=True)
 class ProtocolStep:
     step: int
-    description: str
     calls: tuple[CallEvent, ...]
 
 
@@ -224,15 +223,15 @@ def exchange_and_resolve(
 
     own_draft = call(1, learner.id, draft_prompt(prompts, own_system, bare))
     partner_draft = call(1, partner.id, draft_prompt(prompts, partner_system, bare))
-    step1 = ProtocolStep(1, "independent option-free drafts", (own_draft, partner_draft))
+    step1 = ProtocolStep(1, (own_draft, partner_draft))
 
-    step2 = ProtocolStep(2, "drafts exchanged", ())
+    step2 = ProtocolStep(2, ())
 
     summary = call(3, learner.id, summary_prompt(prompts, own_system, bare, partner_draft.reply))
-    step3 = ProtocolStep(3, "summary through own persona", (summary,))
+    step3 = ProtocolStep(3, (summary,))
 
     final = call(4, learner.id, reanswer_prompt(prompts, own_system, exercise, summary.reply))
-    step4 = ProtocolStep(4, "re-answer with options and summary", (final,))
+    step4 = ProtocolStep(4, (final,))
 
     choice = parse_choice(final.reply, exercise.labels)
     return PairedResponseRecord(

@@ -80,13 +80,15 @@ class CountingBackend:
 
 
 def test_cache_hit_skips_inner_backend(tmp_path):
-    inner = CountingBackend()
-    cache = CachingBackend(inner, tmp_path / "cache")
-    params = DecodeParams()
-    assert cache.complete("prompt one", params) == "Answer: A"
-    assert cache.complete("prompt one", params) == "Answer: A"
-    assert inner.calls == 1
-    assert (cache.hits, cache.misses) == (1, 1)
+    # the second reply replays byte for byte: no newline translation on either side
+    for i, reply in enumerate(("Answer: A", "line one\r\nline two\rAnswer: B")):
+        inner = CountingBackend(reply)
+        cache = CachingBackend(inner, tmp_path / f"cache{i}")
+        params = DecodeParams()
+        assert cache.complete("prompt one", params) == reply
+        assert cache.complete("prompt one", params) == reply
+        assert inner.calls == 1
+        assert (cache.hits, cache.misses) == (1, 1)
 
 
 def test_cache_layout_and_key_sensitivity(tmp_path):
@@ -215,9 +217,8 @@ def test_http_backend_failures_past_the_send_are_transport_errors(monkeypatch, u
 
 def test_http_backend_bad_payload(monkeypatch):
     monkeypatch.setenv("PEERMATCH_API_TOKEN", "t")
-    monkeypatch.setattr(
-        "urllib.request.urlopen", lambda request, timeout: _FakeResponse(b'{"unexpected": true}')
-    )
     backend = HttpBackend(LiveConfig(base_url="http://x", model="m"))
-    with pytest.raises(TransportError, match="unexpected completion payload"):
-        backend.complete("hi", DecodeParams())
+    for body in (b'{"unexpected": true}', b'{"choices": [{"message": {"content": null}}]}'):
+        monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout, body=body: _FakeResponse(body))
+        with pytest.raises(TransportError, match="unexpected completion payload"):
+            backend.complete("hi", DecodeParams())

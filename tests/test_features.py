@@ -34,10 +34,10 @@ def _steps():
     from peermatch.protocol import ProtocolStep
 
     return (
-        ProtocolStep(1, "drafts", ()),
-        ProtocolStep(2, "exchange", ()),
-        ProtocolStep(3, "summary", ()),
-        ProtocolStep(4, "answer", ()),
+        ProtocolStep(1, ()),
+        ProtocolStep(2, ()),
+        ProtocolStep(3, ()),
+        ProtocolStep(4, ()),
     )
 
 

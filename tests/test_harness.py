@@ -451,7 +451,7 @@ def test_train_phase_bytes_match_recorded_digests(name, tmp_path, monkeypatch):
 
 
 class TestSharedWork:
-    """A suite computes each call, train phase, fit and embedding once, and
+    """A suite computes each call, protocol job, fit and embedding once, and
     every variant still gets what it would get run on its own."""
 
     def test_each_variant_matches_its_standalone_run(self, tmp_path):
@@ -480,22 +480,38 @@ class TestSharedWork:
 
     @staticmethod
     def _counted_suite(monkeypatch, out, backend):
-        calls = Counter()
-        complete = MockBackend.complete
+        """Backend calls per (prompt, params) and protocol jobs per job key of the seed-42 suite."""
+        calls, jobs = Counter(), Counter()
+        complete, solve, exchange = MockBackend.complete, harness.solve_exercise, harness.exchange_and_resolve
 
         def counted(self, prompt, params):
             calls[prompt, params] += 1
             return complete(self, prompt, params)
 
+        def counted_solve(learner, exercise, backend, **kwargs):
+            jobs[learner.id, None, exercise.id, kwargs["use_persona"]] += 1
+            return solve(learner, exercise, backend, **kwargs)
+
+        def counted_exchange(learner, partner, exercise, backend, **kwargs):
+            jobs[learner.id, partner.id, exercise.id, True] += 1
+            return exchange(learner, partner, exercise, backend, **kwargs)
+
         configs = [replace(cfg, gp_fit=FAST_GP) for cfg in default_suite_configs(seed=42, backend=backend)]
         with monkeypatch.context() as patch:
             patch.setattr(MockBackend, "complete", counted)
+            patch.setattr(harness, "solve_exercise", counted_solve)
+            patch.setattr(harness, "exchange_and_resolve", counted_exchange)
             run_suite(configs, default_synthetic_corpus(), out_dir=out)
-        return calls
+        return calls, jobs
 
     def test_each_distinct_call_reaches_the_backend_once(self, tmp_path, monkeypatch):
-        calls = self._counted_suite(monkeypatch, tmp_path / "mock", "mock")
+        calls, jobs = self._counted_suite(monkeypatch, tmp_path / "mock", "mock")
         assert set(calls.values()) == {1}
+        assert set(jobs.values()) == {1}
+        # 9 learners: persona solos on all 60 exercises, neutral (baseline) solos on the 30 test ones
+        solos = [key for key in jobs if key[1] is None]
+        assert len(solos) == 9 * 60 + 9 * 30 == 810
+        assert sum(1 for key in solos if key[3]) == 540
         lines = [
             json.loads(line)
             for path in (tmp_path / "mock" / "transcripts").iterdir()
@@ -507,8 +523,9 @@ class TestSharedWork:
             line["prompt_hash"] for line in lines
         }
 
-        cached = self._counted_suite(monkeypatch, tmp_path / "cache", "cache")
+        cached, cached_jobs = self._counted_suite(monkeypatch, tmp_path / "cache", "cache")
         assert cached == calls
+        assert cached_jobs == jobs
         assert sum(1 for p in (tmp_path / "cache" / "cache").rglob("*") if p.is_file()) == len(calls)
 
 

@@ -129,10 +129,10 @@ def _solo(lid, block, outcomes):
 
 def _paired(lid, pid, block, outcomes):
     steps = (
-        ProtocolStep(1, "drafts", ()),
-        ProtocolStep(2, "exchange", ()),
-        ProtocolStep(3, "summary", ()),
-        ProtocolStep(4, "answer", ()),
+        ProtocolStep(1, ()),
+        ProtocolStep(2, ()),
+        ProtocolStep(3, ()),
+        ProtocolStep(4, ()),
     )
     return [
         PairedResponseRecord(
