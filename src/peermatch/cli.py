@@ -69,13 +69,14 @@ def _load_config_file(path: str) -> dict:
 def _shared_from_config(raw: dict, args) -> dict:
     shared: dict = {}
     if "seed" in raw:
-        shared["seed"] = int(raw["seed"])
+        shared["seed"] = raw["seed"]
     if "backend" in raw:
         shared["backend"] = raw["backend"]
     if "train_domains" in raw:
         shared["train_domains"] = raw["train_domains"]
     for key, value in raw.get("mock", {}).items():
-        shared[MOCK_KEYS[key]] = float(value)
+        # a number becomes a float (1 and 1.0 name the same mock); any other value is left for validate() to reject
+        shared[MOCK_KEYS[key]] = float(value) if type(value) in (int, float) else value
     if args.seed is not None:
         shared["seed"] = args.seed
     if args.backend is not None:
@@ -84,9 +85,7 @@ def _shared_from_config(raw: dict, args) -> dict:
 
 
 def _live_from_config(raw: dict) -> LiveConfig | None:
-    if "live" not in raw:
-        return None
-    return LiveConfig(**raw["live"])
+    return LiveConfig(**raw["live"]) if "live" in raw else None
 
 
 def _resolve_corpus(spec):
@@ -124,18 +123,12 @@ def _cmd_profile(args) -> int:
     out = Path(args.out)
     backend = build_backend(cfg, cache_dir=out / "cache")
     probe = Learner(id="probe", persona=Persona(0, 0))
-    records = []
-    for repeat in range(args.repeats):
-        for exercise in exercises:
-            records.append(
-                solve_exercise(
-                    probe,
-                    exercise,
-                    backend,
-                    params=DecodeParams(seed=repeat),
-                    use_persona=False,
-                )
-            )
+    # a generator: each record holds its prompt, so a list of every answer would hold every prompt at once
+    records = (
+        solve_exercise(probe, exercise, backend, params=DecodeParams(seed=repeat), use_persona=False)
+        for repeat in range(args.repeats)
+        for exercise in exercises
+    )
     profile = difficulty_profile(exercises, records, args.repeats)
     out.mkdir(parents=True, exist_ok=True)
     profile.save(out / "difficulty.csv")

@@ -93,11 +93,10 @@ def _read_rows(path: Path, domain_from_name: str | None) -> list[tuple[str, dict
         missing = [c for c in required if c not in fields]
         if missing:
             raise CorpusError(f"{path}: missing column(s) {missing}")
-        rows = []
-        for i, row in enumerate(reader):
-            domain = domain_from_name if domain_from_name is not None else (row.get("domain") or "").strip()
-            rows.append((domain, row))
-        return rows
+        return [
+            (domain_from_name if domain_from_name is not None else (row.get("domain") or "").strip(), row)
+            for row in reader
+        ]
 
 
 def load_corpus(path: str | Path) -> list[Exercise]:

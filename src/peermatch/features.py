@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import ExerciseBlock
 from .hashing import stable_u64
 from .personas import Learner, Persona
-from .protocol import PairedResponseRecord, ResponseRecord
+from .protocol import ResponseRecord
 
 
 class CoverageError(ValueError):
@@ -93,18 +93,15 @@ def build_sample_vector(
 ScoreIndex = dict[tuple[str, str | None], dict[str, int]]
 
 
-def index_scores(
-    solo_records: Iterable[ResponseRecord], paired_records: Iterable[PairedResponseRecord]
-) -> ScoreIndex:
-    """``(learner_id, partner_id or None) -> {exercise_id: r}`` in one pass.
+def index_scores(records: Iterable[ResponseRecord]) -> ScoreIndex:
+    """``(learner_id, partner_id) -> {exercise_id: r}`` in one pass.
 
-    Solo records sit under ``(learner_id, None)``. A second record for the
-    same key and exercise is a CoverageError.
+    A solo record's ``partner_id`` is None. A second record for the same
+    key and exercise is a CoverageError.
     """
-    keyed: list = [((rec.learner_id, None), rec) for rec in solo_records]
-    keyed += [((rec.learner_id, rec.partner_id), rec) for rec in paired_records]
     index: ScoreIndex = {}
-    for key, rec in keyed:
+    for rec in records:
+        key = (rec.learner_id, rec.partner_id)
         by_exercise = index.setdefault(key, {})
         if rec.exercise_id in by_exercise:
             raise CoverageError(f"records of {key}: duplicate record for exercise {rec.exercise_id!r}")

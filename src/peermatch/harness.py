@@ -54,13 +54,7 @@ from .pareto import (
     score_vector,
 )
 from .personas import Learner, default_cohort
-from .protocol import (
-    CallEvent,
-    PairedResponseRecord,
-    ResponseRecord,
-    exchange_and_resolve,
-    solve_exercise,
-)
+from .protocol import CallEvent, ResponseRecord, exchange_and_resolve, solve_exercise
 
 log = logging.getLogger(__name__)
 
@@ -78,6 +72,10 @@ class ConfigError(ValueError):
     """Inconsistent or unknown variant configuration."""
 
 
+# a field's annotation -> the types validate() accepts for it; a bool is no number
+_CHECKED_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
+
+
 @dataclass(frozen=True)
 class VariantConfig:
     """One experiment setting, mirroring the component-removal matrix.
@@ -86,7 +84,8 @@ class VariantConfig:
     regressor (and vice versa: selection without a front is undefined).
     ``train_domains`` are held out for regressor training; every other
     domain is evaluated. A list or tuple of domain names is stored as a
-    tuple; a bare string is rejected rather than split into letters.
+    tuple; anything else, a bare string included, is rejected rather than
+    split into letters.
     """
 
     name: str
@@ -105,13 +104,19 @@ class VariantConfig:
     nn_fit: MlpConfig = field(default_factory=MlpConfig)
 
     def __post_init__(self) -> None:
-        if isinstance(self.train_domains, str):
-            raise ConfigError(
-                f"{self.name}: train_domains must be a list of domain names, got the string {self.train_domains!r}"
-            )
+        if not isinstance(self.train_domains, (list, tuple)):
+            got = f"the string {self.train_domains!r}" if isinstance(self.train_domains, str) else repr(self.train_domains)
+            raise ConfigError(f"{self.name}: train_domains must be a list of domain names, got {got}")
         object.__setattr__(self, "train_domains", tuple(self.train_domains))
 
     def validate(self) -> None:
+        """Reject a wrong type or an inconsistent setting; a value that passes is used as given."""
+        for f in fields(self):
+            kind, value = _CHECKED_TYPES.get(f.type), getattr(self, f.name)
+            if kind is not None and (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)):
+                raise ConfigError(f"{self.name}: {f.name} must be {f.type}, got {value!r}")
+        if not all(isinstance(domain, str) for domain in self.train_domains):
+            raise ConfigError(f"{self.name}: train_domains must be domain names, got {list(self.train_domains)!r}")
         if self.regressor not in REGRESSOR_KINDS:
             raise ConfigError(f"{self.name}: unknown regressor {self.regressor!r}")
         if self.pareto not in PARETO_MODES:
@@ -128,6 +133,8 @@ class VariantConfig:
             raise ConfigError(f"{self.name}: a regressor requires train_domains")
         if self.selection_rule not in ("mean", "poi"):
             raise ConfigError(f"{self.name}: unknown selection rule {self.selection_rule!r}")
+        if self.gain_baseline not in ("self", "partner"):
+            raise ConfigError(f"{self.name}: unknown gain baseline {self.gain_baseline!r}")
 
     def component_flags(self) -> tuple[str, bool, bool, bool, bool]:
         return (
@@ -168,9 +175,9 @@ class RunResult:
 
     config: VariantConfig
     per_learner: dict[str, dict[str, float]]
-    train_paired: tuple[PairedResponseRecord, ...]
+    train_paired: tuple[ResponseRecord, ...]
     test_solo: tuple[ResponseRecord, ...]
-    test_paired: tuple[PairedResponseRecord, ...]
+    test_paired: tuple[ResponseRecord, ...]
     selections: tuple[SelectionEvent, ...]
     lp_fallbacks: int
     artifacts: dict[str, str]
@@ -209,10 +216,10 @@ class _TranscriptLog:
     def __init__(self) -> None:
         self.lines: list[str] = []
 
-    def sink(self, partner_id: str | None, exercise_id: str) -> Callable[[int, CallEvent], None]:
-        def write(step: int, event: CallEvent) -> None:
+    def sink(self, partner_id: str | None, exercise_id: str) -> Callable[[CallEvent], None]:
+        def write(event: CallEvent) -> None:
             line = {
-                "step": step,
+                "step": event.step,
                 "learner_id": event.actor_id,
                 "partner_id": partner_id,
                 "exercise_id": exercise_id,
@@ -302,7 +309,7 @@ def _split_blocks(cfg: VariantConfig, corpus: Sequence[Exercise]) -> tuple[list[
 def _accuracies(
     learners: Sequence[Learner],
     test_blocks: Sequence[ExerciseBlock],
-    records: Iterable,
+    records: Iterable[ResponseRecord],
 ) -> dict[str, dict[str, float]]:
     category_of = {e.id: e.category for b in test_blocks for e in b.exercises}
     scores = {l.id: {c: [] for c in CATEGORY_ORDER} for l in learners}
@@ -379,7 +386,7 @@ def run_variant(
     test_exercises = [e for b in test_blocks for e in b.exercises]
 
     transcript = _TranscriptLog()
-    train_paired: list[PairedResponseRecord] = []
+    train_paired: list[ResponseRecord] = []
     selections: list[SelectionEvent] = []
     front_dumps: list[dict] = []
     lp_fallbacks = 0
@@ -397,14 +404,16 @@ def run_variant(
     def run_job(learner: Learner, partner: Learner | None, exercise: Exercise):
         partner_id = partner.id if partner is not None else None
 
-        def make() -> tuple[ResponseRecord | PairedResponseRecord, tuple[str, ...]]:
-            log = _TranscriptLog()
+        def make() -> tuple[ResponseRecord, tuple[str, ...]]:
             params = DecodeParams(seed=_decode_seed(learner.id, exercise.id))
-            sink = log.sink(partner_id, exercise.id)
             if partner is None:
-                record = solve_exercise(learner, exercise, backend, params=params, use_persona=use_persona, sink=sink)
+                record = solve_exercise(learner, exercise, backend, params=params, use_persona=use_persona)
             else:
-                record = exchange_and_resolve(learner, partner, exercise, backend, params=params, sink=sink)
+                record = exchange_and_resolve(learner, partner, exercise, backend, params=params)
+            log = _TranscriptLog()
+            write = log.sink(partner_id, exercise.id)
+            for event in record.calls:
+                write(event)
             return record, tuple(log.lines)
 
         record, lines = work.once(("job", backend.name, learner.id, partner_id, exercise.id, use_persona), make)
@@ -425,7 +434,7 @@ def run_variant(
         train_paired = [
             run_job(l, p, e) for l in learners for p in others[l.id] for b in train_blocks for e in b.exercises
         ]
-        scores = index_scores(solo, train_paired)
+        scores = index_scores(solo + train_paired)
 
         def dataset() -> tuple[np.ndarray, np.ndarray]:
             X, y = dataset_arrays(build_dataset(cohort, train_blocks, scores, work.embedder, cfg.gain_baseline))
@@ -537,9 +546,17 @@ def run_suite(
 ) -> SuiteResult:
     """Run every variant sequentially and render both report shapes.
 
-    The variants share one ``_SuiteWork``: each distinct backend call,
-    protocol job, dataset, fit and stem embedding is computed once per suite.
+    Every config is validated, and the variant names checked for repeats,
+    before the first backend call. The variants share one ``_SuiteWork``:
+    each distinct backend call, protocol job, dataset, fit and stem
+    embedding is computed once per suite.
     """
+    for cfg in configs:
+        cfg.validate()
+    names = [cfg.name for cfg in configs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"suite: variant name(s) {repeated} repeated; each variant writes its own reports")
     baselines = [cfg.name for cfg in configs if _is_baseline(cfg)]
     if not baselines:
         raise ConfigError("suite needs a baseline variant (no roles, no co-learning)")

@@ -49,9 +49,6 @@ class ScoreVector:
     def domains(self) -> frozenset[str]:
         return self._domains  # type: ignore[attr-defined]
 
-    def __getitem__(self, domain: str) -> float:
-        return self.scores[domain]
-
 
 def dominates(a: ScoreVector, b: ScoreVector) -> bool:
     """True iff a is >= b in every domain and > b in at least one."""

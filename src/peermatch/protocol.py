@@ -7,7 +7,9 @@ four-step pair protocol: (1) both sides draft on the option-free question,
 partner's draft through its own persona, (4) the anchoring learner
 re-answers the full question with the summary attached. Option text never
 enters steps 1-3, and only the anchoring learner is scored; run the
-protocol again with roles swapped for the symmetric record.
+protocol again with roles swapped for the symmetric record. Each entry
+point returns one ``ResponseRecord`` that carries the job's backend calls
+in order.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .backends import CompletionBackend, DecodeParams, TransportError
 from .corpus import Exercise, strip_options
@@ -28,24 +30,10 @@ class ProtocolError(ValueError):
 
 
 @dataclass(frozen=True)
-class ResponseRecord:
-    """One learner's independent answer to one exercise."""
-
-    learner_id: str
-    exercise_id: str
-    chosen_option: str | None
-    response_text: str
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.r not in (0, 1):
-            raise ProtocolError(f"score must be 0 or 1, got {self.r!r}")
-
-
-@dataclass(frozen=True)
 class CallEvent:
-    """One backend call: who prompted what, and the raw reply."""
+    """One backend call of a protocol job: its step, who prompted what, and the raw reply."""
 
+    step: int
     actor_id: str
     prompt: str
     reply: str
@@ -56,29 +44,21 @@ class CallEvent:
 
 
 @dataclass(frozen=True)
-class ProtocolStep:
-    step: int
-    calls: tuple[CallEvent, ...]
+class ResponseRecord:
+    """One protocol job, scored for the anchoring learner.
 
-
-@dataclass(frozen=True)
-class PairedResponseRecord:
-    """Outcome of one four-step interaction, scored for the anchoring learner."""
+    ``partner_id`` is None for a solo answer, whose one call is step 0; a
+    pair's calls are steps 1, 1, 3 and 4 (step 2, the exchange, makes no
+    call). ``choice`` is the label parsed from the last reply, or None for
+    an abstention, and ``r`` is 1 iff it equals the key.
+    """
 
     learner_id: str
-    partner_id: str
+    partner_id: str | None
     exercise_id: str
-    final_choice: str | None
+    choice: str | None
     r: int
-    transcript: tuple[ProtocolStep, ...]
-
-    def __post_init__(self) -> None:
-        if self.learner_id == self.partner_id:
-            raise ProtocolError("learner and partner must differ")
-        if tuple(s.step for s in self.transcript) != (1, 2, 3, 4):
-            raise ProtocolError("transcript must hold exactly steps 1..4 in order")
-        if self.r not in (0, 1):
-            raise ProtocolError(f"score must be 0 or 1, got {self.r!r}")
+    calls: tuple[CallEvent, ...]
 
 
 @lru_cache(maxsize=32)
@@ -162,7 +142,20 @@ def _require_answerable(exercise: Exercise) -> None:
         raise ProtocolError(f"exercise {exercise.id!r} carries no options")
 
 
-Sink = Callable[[int, CallEvent], None]
+def _call(backend: CompletionBackend, params: DecodeParams, step: int, actor_id: str, prompt: str) -> CallEvent:
+    """One backend call; a TransportError leaves tagged with the step it failed in."""
+    try:
+        reply = backend.complete(prompt, params)
+    except TransportError as exc:
+        exc.step = step
+        raise
+    return CallEvent(step, actor_id, prompt, reply)
+
+
+def _scored(learner_id: str, partner_id: str | None, exercise: Exercise, calls: tuple[CallEvent, ...]) -> ResponseRecord:
+    """The job's record: the last reply's choice, scored against the key."""
+    choice = parse_choice(calls[-1].reply, exercise.labels)
+    return ResponseRecord(learner_id, partner_id, exercise.id, choice, int(choice == exercise.key), calls)
 
 
 def solve_exercise(
@@ -172,24 +165,13 @@ def solve_exercise(
     *,
     params: DecodeParams = DecodeParams(),
     use_persona: bool = True,
-    sink: Sink | None = None,
 ) -> ResponseRecord:
     """Independent answering; the score is 1 iff the parsed choice equals the key."""
     _require_answerable(exercise)
     prompts = default_prompts()
     system_text = prompts.system(learner.persona) if use_persona else prompts.neutral_system
-    prompt = solo_prompt(prompts, system_text, exercise)
-    reply = backend.complete(prompt, params)
-    if sink is not None:
-        sink(0, CallEvent(learner.id, prompt, reply))
-    choice = parse_choice(reply, exercise.labels)
-    return ResponseRecord(
-        learner_id=learner.id,
-        exercise_id=exercise.id,
-        chosen_option=choice,
-        response_text=reply,
-        r=int(choice is not None and choice == exercise.key),
-    )
+    answer = _call(backend, params, 0, learner.id, solo_prompt(prompts, system_text, exercise))
+    return _scored(learner.id, None, exercise, (answer,))
 
 
 def exchange_and_resolve(
@@ -199,8 +181,7 @@ def exchange_and_resolve(
     backend: CompletionBackend,
     *,
     params: DecodeParams = DecodeParams(),
-    sink: Sink | None = None,
-) -> PairedResponseRecord:
+) -> ResponseRecord:
     """Run the four-step pair protocol and score the anchoring learner."""
     if learner.id == partner.id:
         raise ProtocolError(f"learner {learner.id!r} cannot pair with itself")
@@ -209,36 +190,9 @@ def exchange_and_resolve(
     bare = strip_options(exercise)
     own_system = prompts.system(learner.persona)
     partner_system = prompts.system(partner.persona)
-
-    def call(step: int, actor_id: str, prompt: str) -> CallEvent:
-        try:
-            reply = backend.complete(prompt, params)
-        except TransportError as exc:
-            exc.step = step
-            raise
-        event = CallEvent(actor_id, prompt, reply)
-        if sink is not None:
-            sink(step, event)
-        return event
-
-    own_draft = call(1, learner.id, draft_prompt(prompts, own_system, bare))
-    partner_draft = call(1, partner.id, draft_prompt(prompts, partner_system, bare))
-    step1 = ProtocolStep(1, (own_draft, partner_draft))
-
-    step2 = ProtocolStep(2, ())
-
-    summary = call(3, learner.id, summary_prompt(prompts, own_system, bare, partner_draft.reply))
-    step3 = ProtocolStep(3, (summary,))
-
-    final = call(4, learner.id, reanswer_prompt(prompts, own_system, exercise, summary.reply))
-    step4 = ProtocolStep(4, (final,))
-
-    choice = parse_choice(final.reply, exercise.labels)
-    return PairedResponseRecord(
-        learner_id=learner.id,
-        partner_id=partner.id,
-        exercise_id=exercise.id,
-        final_choice=choice,
-        r=int(choice is not None and choice == exercise.key),
-        transcript=(step1, step2, step3, step4),
-    )
+    own_draft = _call(backend, params, 1, learner.id, draft_prompt(prompts, own_system, bare))
+    partner_draft = _call(backend, params, 1, partner.id, draft_prompt(prompts, partner_system, bare))
+    # step 2, the exchange, hands partner_draft to the learner and makes no call
+    summary = _call(backend, params, 3, learner.id, summary_prompt(prompts, own_system, bare, partner_draft.reply))
+    final = _call(backend, params, 4, learner.id, reanswer_prompt(prompts, own_system, exercise, summary.reply))
+    return _scored(learner.id, partner.id, exercise, (own_draft, partner_draft, summary, final))

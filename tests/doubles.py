@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from peermatch.backends import DecodeParams
 from peermatch.corpus import Exercise
-from peermatch.protocol import PairedResponseRecord
+from peermatch.protocol import ResponseRecord
 
 
 class FunctionBackend:
@@ -18,14 +18,12 @@ class FunctionBackend:
         return self._fn(prompt, params)
 
 
-def option_leaks(record: PairedResponseRecord, exercise: Exercise) -> list[tuple[int, str]]:
+def option_leaks(record: ResponseRecord, exercise: Exercise) -> list[tuple[int, str]]:
     """(step, option text) pairs where option text leaked into a step 1-3 prompt."""
-    leaks = []
-    for step in record.transcript:
-        if step.step >= 4:
-            continue
-        for event in step.calls:
-            for text in exercise.options:
-                if text and text in event.prompt:
-                    leaks.append((step.step, text))
-    return leaks
+    return [
+        (call.step, text)
+        for call in record.calls
+        if 1 <= call.step <= 3
+        for text in exercise.options
+        if text and text in call.prompt
+    ]

@@ -64,8 +64,8 @@ def test_mock_plants_complementarity_bonus():
 def test_mock_answers_carry_a_parseable_choice(exercise, learner):
     backend = MockBackend(seed=1)
     record = solve_exercise(learner, exercise, backend)
-    assert record.chosen_option in exercise.labels
-    assert record.response_text
+    assert record.choice in exercise.labels
+    assert record.calls[0].reply
 
 
 class CountingBackend:

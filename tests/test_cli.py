@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from peermatch.backends import MockBackend
 from peermatch.cli import main
 from peermatch.corpus import fixture_corpus_path
 
@@ -32,7 +33,7 @@ def test_profile_synthetic(tmp_path, capsys):
     assert "fall below" in capsys.readouterr().out
 
 
-def _variant_config(tmp_path, **extra):
+def _variant_config(tmp_path, variant=(), **extra):
     payload = {
         "corpus": "synthetic",
         "seed": 5,
@@ -40,6 +41,7 @@ def _variant_config(tmp_path, **extra):
             "name": "solo",
             "role_setting": True,
             "co_learning": False,
+            **dict(variant),
         },
     }
     payload.update(extra)
@@ -86,6 +88,35 @@ def test_simulate_rejects_bare_string_train_domains(tmp_path, capsys):
     assert "train_domains must be a list of domain names, got the string 'number_theory'" in err
 
 
+def _no_backend_call(backend, prompt, params):
+    raise AssertionError("a config error must stop the run before any backend call")
+
+
+@pytest.mark.parametrize(
+    "top, variant, message",
+    [
+        ({}, {"role_setting": "false"}, "role_setting must be bool, got 'false'"),
+        ({}, {"co_learning": 0}, "co_learning must be bool, got 0"),
+        ({}, {"seed": "abc"}, "seed must be int, got 'abc'"),
+        ({}, {"seed": True}, "seed must be int, got True"),
+        ({"seed": "5"}, {}, "seed must be int, got '5'"),
+        ({}, {"mock_bonus": "0.3"}, "mock_bonus must be float, got '0.3'"),
+        ({}, {"mock_base_difficulty": False}, "mock_base_difficulty must be float, got False"),
+        ({"mock": {"bonus": "0.3"}}, {}, "mock_bonus must be float, got '0.3'"),
+        ({}, {"name": 7}, "name must be str, got 7"),
+        ({}, {"train_domains": ["number_theory", 3]}, "train_domains must be domain names, got ['number_theory', 3]"),
+        ({}, {"train_domains": 3}, "train_domains must be a list of domain names, got 3"),
+        ({}, {"gain_baseline": "mean"}, "unknown gain baseline 'mean'"),
+    ],
+)
+def test_simulate_rejects_mistyped_values(tmp_path, capsys, monkeypatch, top, variant, message):
+    monkeypatch.setattr(MockBackend, "complete", _no_backend_call)
+    cfg = _variant_config(tmp_path, variant, **top)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_suite_config_unknown_top_level_key(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"corpus": "synthetic", "extra": True}), "utf-8")
@@ -94,12 +125,12 @@ def test_suite_config_unknown_top_level_key(tmp_path, capsys):
     assert "extra" in capsys.readouterr().err
 
 
-def _suite_config(tmp_path):
+def _suite_config(tmp_path, variants=None):
     payload = {
         "corpus": "synthetic",
         "seed": 4,
         "train_domains": ["number_theory", "market_research", "modern_poetry"],
-        "variants": [
+        "variants": variants or [
             {"name": "baseline", "role_setting": False, "co_learning": False},
             {"name": "solo", "role_setting": True, "co_learning": False},
             {"name": "random-pair", "role_setting": True, "co_learning": True},
@@ -125,6 +156,27 @@ def test_suite_and_report_round_trip(tmp_path, capsys):
     assert main(["report", "--out", str(out1)]) == 0
     for name in ("category_table.csv", "component_table.csv"):
         assert (out1 / name).read_bytes() == before[name]
+
+
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        # a second "x" would overwrite the first one's transcript and report rows
+        ({"name": "x", "role_setting": True, "co_learning": True}, "variant name(s) ['x'] repeated"),
+        ({"name": "late", "role_setting": True, "co_learning": True, "regressor": "gp"}, "late: a regressor requires"),
+    ],
+)
+def test_suite_config_errors_stop_the_run_before_any_backend_call(tmp_path, capsys, monkeypatch, last, message):
+    monkeypatch.setattr(MockBackend, "complete", _no_backend_call)
+    cfg = _suite_config(tmp_path, [
+        {"name": "baseline", "role_setting": False, "co_learning": False},
+        {"name": "x", "role_setting": True, "co_learning": False},
+        last,
+    ])
+    assert main(["suite", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_suite_seed_flag_overrides_config(tmp_path):

@@ -132,7 +132,7 @@ def test_group_by_domain_loses_nothing(domains):
 
 def _records(exercise_id, outcomes):
     return [
-        ResponseRecord(learner_id="probe", exercise_id=exercise_id, chosen_option="A", response_text="x", r=r)
+        ResponseRecord(learner_id="probe", partner_id=None, exercise_id=exercise_id, choice="A", r=r, calls=())
         for r in outcomes
     ]
 

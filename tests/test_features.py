@@ -16,7 +16,7 @@ from peermatch.features import (
     pair_gain,
 )
 from peermatch.personas import Learner, Persona, enumerate_personas
-from peermatch.protocol import PairedResponseRecord, ResponseRecord
+from peermatch.protocol import ResponseRecord
 
 
 def _block(domain="blk", n=4):
@@ -24,35 +24,11 @@ def _block(domain="blk", n=4):
 
 
 def _solo(learner_id, block, outcomes):
-    return [
-        ResponseRecord(learner_id=learner_id, exercise_id=e.id, chosen_option="A", response_text="t", r=r)
-        for e, r in zip(block.exercises, outcomes)
-    ]
-
-
-def _steps():
-    from peermatch.protocol import ProtocolStep
-
-    return (
-        ProtocolStep(1, ()),
-        ProtocolStep(2, ()),
-        ProtocolStep(3, ()),
-        ProtocolStep(4, ()),
-    )
+    return [ResponseRecord(learner_id, None, e.id, "A", r, ()) for e, r in zip(block.exercises, outcomes)]
 
 
 def _paired(learner_id, partner_id, block, outcomes):
-    return [
-        PairedResponseRecord(
-            learner_id=learner_id,
-            partner_id=partner_id,
-            exercise_id=e.id,
-            final_choice="A",
-            r=r,
-            transcript=_steps(),
-        )
-        for e, r in zip(block.exercises, outcomes)
-    ]
+    return [ResponseRecord(learner_id, partner_id, e.id, "A", r, ()) for e, r in zip(block.exercises, outcomes)]
 
 
 class TestHashingEmbedder:
@@ -140,36 +116,36 @@ class TestPairGain:
         block = _block(n=4)
         paired = _paired(learner.id, partner.id, block, [1, 1, 1, 1])
         solo = _solo(learner.id, block, [0, 0, 0, 0])
-        assert pair_gain(learner, partner, block, index_scores(solo, paired)) == pytest.approx(1.0)
+        assert pair_gain(learner, partner, block, index_scores(solo + paired)) == pytest.approx(1.0)
 
     def test_zero_when_equal(self, learner, partner):
         block = _block(n=4)
         paired = _paired(learner.id, partner.id, block, [1, 0, 1, 0])
         solo = _solo(learner.id, block, [0, 1, 1, 0])
-        assert pair_gain(learner, partner, block, index_scores(solo, paired)) == pytest.approx(0.0)
+        assert pair_gain(learner, partner, block, index_scores(solo + paired)) == pytest.approx(0.0)
 
     def test_hand_computed_two_fifths(self, learner, partner):
         # 5 exercises, 4 paired correct vs 2 solo correct: (4 - 2) / 5 = 0.4
         block = _block(n=5)
         paired = _paired(learner.id, partner.id, block, [1, 1, 1, 1, 0])
         solo = _solo(learner.id, block, [1, 1, 0, 0, 0])
-        assert pair_gain(learner, partner, block, index_scores(solo, paired)) == pytest.approx(0.4)
+        assert pair_gain(learner, partner, block, index_scores(solo + paired)) == pytest.approx(0.4)
 
     def test_partner_baseline_flag(self, learner, partner):
         block = _block(n=4)
         paired = _paired(learner.id, partner.id, block, [1, 1, 1, 0])
         solo = _solo(learner.id, block, [1, 0, 0, 0]) + _solo(partner.id, block, [1, 1, 1, 1])
-        assert pair_gain(learner, partner, block, index_scores(solo, paired), baseline="self") == pytest.approx(0.5)
-        assert pair_gain(learner, partner, block, index_scores(solo, paired), baseline="partner") == pytest.approx(-0.25)
+        assert pair_gain(learner, partner, block, index_scores(solo + paired), baseline="self") == pytest.approx(0.5)
+        assert pair_gain(learner, partner, block, index_scores(solo + paired), baseline="partner") == pytest.approx(-0.25)
         with pytest.raises(ValueError, match="baseline"):
-            pair_gain(learner, partner, block, index_scores(solo, paired), baseline="mean")
+            pair_gain(learner, partner, block, index_scores(solo + paired), baseline="mean")
 
     def test_missing_coverage_lists_exercises(self, learner, partner):
         block = _block(n=3)
         paired = _paired(learner.id, partner.id, block, [1, 1, 1])[:2]
         solo = _solo(learner.id, block, [0, 0, 0])
         with pytest.raises(CoverageError, match="blk/2"):
-            pair_gain(learner, partner, block, index_scores(solo, paired))
+            pair_gain(learner, partner, block, index_scores(solo + paired))
 
     def test_duplicate_record_rejected(self, learner, partner):
         block = _block(n=2)
@@ -177,19 +153,19 @@ class TestPairGain:
         paired += _paired(learner.id, partner.id, block, [0, 0])[:1]
         solo = _solo(learner.id, block, [0, 0])
         with pytest.raises(CoverageError, match="duplicate"):
-            pair_gain(learner, partner, block, index_scores(solo, paired))
+            pair_gain(learner, partner, block, index_scores(solo + paired))
 
 
 
 def test_index_scores_keys_solo_under_none(learner, partner):
     block = _block(n=2)
-    index = index_scores(_solo(learner.id, block, [1, 0]), _paired(learner.id, partner.id, block, [0, 1]))
+    index = index_scores(_paired(learner.id, partner.id, block, [0, 1]) + _solo(learner.id, block, [1, 0]))
     assert index == {
         (learner.id, None): {"blk/0": 1, "blk/1": 0},
         (learner.id, partner.id): {"blk/0": 0, "blk/1": 1},
     }
     with pytest.raises(CoverageError, match="duplicate"):
-        index_scores(_solo(learner.id, block, [1, 0]) + _solo(learner.id, block, [1]), [])
+        index_scores(_solo(learner.id, block, [1, 0]) + _solo(learner.id, block, [1]))
 
 def _full_records(cohort, blocks):
     solo, paired = [], []
@@ -210,13 +186,13 @@ def test_build_dataset_counts_and_bounds():
     cohort = {f"P{i}": Learner(f"P{i}", p) for i, p in enumerate(enumerate_personas()[:4])}
     blocks = [_block("d1", 4), _block("d2", 4)]
     paired, solo = _full_records(cohort, blocks)
-    samples = build_dataset(cohort, blocks, index_scores(solo, paired), HashingEmbedder())
+    samples = build_dataset(cohort, blocks, index_scores(solo + paired), HashingEmbedder())
     assert len(samples) == 4 * 3 * 2
     assert all(-1.0 <= s.y <= 1.0 for s in samples)
     assert all(s.x.shape == (36,) for s in samples)
     keys = [(s.learner_id, s.partner_id, s.domain) for s in samples]
     assert keys == sorted(keys)
-    again = build_dataset(cohort, blocks, index_scores(solo, paired), HashingEmbedder())
+    again = build_dataset(cohort, blocks, index_scores(solo + paired), HashingEmbedder())
     assert all(np.allclose(a.x, b.x) and a.y == b.y for a, b in zip(samples, again))
 
 
@@ -229,6 +205,6 @@ def test_pair_gain_bounds_property(paired_bits, solo_bits):
         anchor,
         other,
         block,
-        index_scores(_solo(anchor.id, block, solo_bits), _paired(anchor.id, other.id, block, paired_bits)),
+        index_scores(_solo(anchor.id, block, solo_bits) + _paired(anchor.id, other.id, block, paired_bits)),
     )
     assert -1.0 <= gain <= 1.0

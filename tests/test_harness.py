@@ -261,7 +261,7 @@ def test_resolve_front_local_mode_with_history():
     history = [
         exchange_and_resolve(cohort["L0"], cohort["L5"], e, backend) for e in blocks[0].exercises
     ]
-    front, fell_back = resolve_front("L0", index_scores([], history), blocks, [], mode="local")
+    front, fell_back = resolve_front("L0", index_scores(history), blocks, [], mode="local")
     assert not fell_back
     assert front.mode == "local"
     assert front.member_ids == ("L5",)

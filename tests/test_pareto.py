@@ -19,7 +19,7 @@ from peermatch.pareto import (
     score_vector,
 )
 from peermatch.personas import Learner, enumerate_personas
-from peermatch.protocol import PairedResponseRecord, ProtocolStep, ResponseRecord
+from peermatch.protocol import ResponseRecord
 from oracles import brute_force_front
 
 
@@ -121,30 +121,11 @@ class TestParetoFront:
 
 
 def _solo(lid, block, outcomes):
-    return [
-        ResponseRecord(learner_id=lid, exercise_id=e.id, chosen_option="A", response_text="t", r=r)
-        for e, r in zip(block.exercises, outcomes)
-    ]
+    return [ResponseRecord(lid, None, e.id, "A", r, ()) for e, r in zip(block.exercises, outcomes)]
 
 
 def _paired(lid, pid, block, outcomes):
-    steps = (
-        ProtocolStep(1, ()),
-        ProtocolStep(2, ()),
-        ProtocolStep(3, ()),
-        ProtocolStep(4, ()),
-    )
-    return [
-        PairedResponseRecord(
-            learner_id=lid,
-            partner_id=pid,
-            exercise_id=e.id,
-            final_choice="A",
-            r=r,
-            transcript=steps,
-        )
-        for e, r in zip(block.exercises, outcomes)
-    ]
+    return [ResponseRecord(lid, pid, e.id, "A", r, ()) for e, r in zip(block.exercises, outcomes)]
 
 
 def _blocks():
@@ -158,24 +139,24 @@ class TestScoreVectorOp:
     def test_three_of_four_correct(self):
         alpha, beta = _blocks()
         records = _solo("me", alpha, [1, 1, 1, 0]) + _solo("me", beta, [0, 0])
-        vec = score_vector("me", index_scores(records, []), [alpha, beta])
+        vec = score_vector("me", index_scores(records), [alpha, beta])
         assert vec.scores == {"alpha": 0.75, "beta": 0.0}
 
     def test_all_wrong_is_zero_vector(self):
         alpha, beta = _blocks()
         records = _solo("me", alpha, [0, 0, 0, 0]) + _solo("me", beta, [0, 0])
-        assert all(v == 0.0 for v in score_vector("me", index_scores(records, []), [alpha, beta]).scores.values())
+        assert all(v == 0.0 for v in score_vector("me", index_scores(records), [alpha, beta]).scores.values())
 
     def test_hand_fixture(self):
         alpha, beta = _blocks()
         records = _solo("me", alpha, [1, 0, 1, 0]) + _solo("me", beta, [1, 0])
-        vec = score_vector("me", index_scores(records, []), [alpha, beta])
+        vec = score_vector("me", index_scores(records), [alpha, beta])
         assert vec.scores == {"alpha": 0.5, "beta": 0.5}
 
     def test_missing_coverage(self):
         alpha, beta = _blocks()
         with pytest.raises(CoverageError, match="beta"):
-            score_vector("me", index_scores(_solo("me", alpha, [1, 1, 1, 1]), []), [alpha, beta])
+            score_vector("me", index_scores(_solo("me", alpha, [1, 1, 1, 1])), [alpha, beta])
 
 
 class TestLocalCandidates:
@@ -185,7 +166,7 @@ class TestLocalCandidates:
     def test_single_partner_half_right(self):
         alpha, _ = _blocks()
         history = _paired("me", "pal", alpha, [1, 1, 0, 0])
-        (vec,) = local_candidates("me", index_scores([], history), _blocks())
+        (vec,) = local_candidates("me", index_scores(history), _blocks())
         assert vec.learner_id == "pal"
         assert vec.scores == {"alpha": 0.5}
 
@@ -196,13 +177,13 @@ class TestLocalCandidates:
             + _paired("me", "p1", beta, [0, 1])
             + _paired("me", "p2", alpha, [0, 0, 1, 0])
         )
-        vecs = {v.learner_id: v.scores for v in local_candidates("me", index_scores([], history), _blocks())}
+        vecs = {v.learner_id: v.scores for v in local_candidates("me", index_scores(history), _blocks())}
         assert vecs == {"p1": {"alpha": 1.0, "beta": 0.5}, "p2": {"alpha": 0.25, "beta": 0.0}}
 
     def test_ignores_other_learners_history(self):
         alpha, _ = _blocks()
         history = _paired("someone_else", "p1", alpha, [1, 1, 1, 1])
-        assert local_candidates("me", index_scores([], history), _blocks()) == []
+        assert local_candidates("me", index_scores(history), _blocks()) == []
 
 
 class _ConstantRegressor:

@@ -49,11 +49,23 @@ class TestParseChoice:
 def test_solve_scores_against_key(exercise, learner):
     assert exercise.key == "B"
     hit = solve_exercise(learner, exercise, FunctionBackend(lambda p, d: "Answer: B"))
-    assert (hit.r, hit.chosen_option) == (1, "B")
+    assert (hit.r, hit.choice) == (1, "B")
     miss = solve_exercise(learner, exercise, FunctionBackend(lambda p, d: "Answer: C"))
-    assert (miss.r, miss.chosen_option) == (0, "C")
+    assert (miss.r, miss.choice) == (0, "C")
     abstain = solve_exercise(learner, exercise, FunctionBackend(lambda p, d: "no idea, sorry"))
-    assert (abstain.r, abstain.chosen_option) == (0, None)
+    assert (abstain.r, abstain.choice) == (0, None)
+
+
+def test_solo_record_holds_its_one_call(exercise, learner):
+    seen = []
+
+    def capture(prompt, params):
+        seen.append(prompt)
+        return "Answer: B"
+
+    record = solve_exercise(learner, exercise, FunctionBackend(capture))
+    assert record.partner_id is None
+    assert [(c.step, c.actor_id, c.prompt, c.reply) for c in record.calls] == [(0, learner.id, seen[0], "Answer: B")]
 
 
 def test_solve_prompt_contains_system_stem_options(exercise, learner, prompts):
@@ -98,16 +110,16 @@ def test_solve_deterministic_under_mock(exercise, learner):
 
 def test_exchange_transcript_shape(exercise, learner, partner):
     record = exchange_and_resolve(learner, partner, exercise, MockBackend(seed=0))
-    assert [s.step for s in record.transcript] == [1, 2, 3, 4]
-    assert [len(s.calls) for s in record.transcript] == [2, 0, 1, 1]
-    assert record.transcript[0].calls[0].actor_id == learner.id
-    assert record.transcript[0].calls[1].actor_id == partner.id
+    assert (record.learner_id, record.partner_id) == (learner.id, partner.id)
+    assert [(c.step, c.actor_id) for c in record.calls] == [
+        (1, learner.id), (1, partner.id), (3, learner.id), (4, learner.id)
+    ]
 
 
 def test_exchange_steps_1_to_3_are_option_free(exercise, learner, partner):
     record = exchange_and_resolve(learner, partner, exercise, MockBackend(seed=0))
     assert option_leaks(record, exercise) == []
-    final_prompt = record.transcript[3].calls[0].prompt
+    final_prompt = record.calls[-1].prompt
     for text in exercise.options:
         assert text in final_prompt
 
@@ -120,7 +132,7 @@ def test_exchange_scripted_step4_key(exercise, learner, partner, prompts):
 
     record = exchange_and_resolve(learner, partner, exercise, FunctionBackend(script))
     assert record.r == 1
-    assert record.final_choice == "B"
+    assert record.choice == "B"
 
 
 def test_exchange_rejects_self_pairing(exercise, learner):
@@ -148,11 +160,3 @@ def test_exchange_deterministic_under_mock(exercise, learner, partner):
     a = exchange_and_resolve(learner, partner, exercise, backend, params=params)
     b = exchange_and_resolve(learner, partner, exercise, backend, params=params)
     assert a == b
-
-
-def test_sink_sees_all_calls(exercise, learner, partner):
-    events = []
-    exchange_and_resolve(
-        learner, partner, exercise, MockBackend(seed=0), sink=lambda step, ev: events.append((step, ev.actor_id))
-    )
-    assert events == [(1, learner.id), (1, partner.id), (3, learner.id), (4, learner.id)]
