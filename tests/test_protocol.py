@@ -116,6 +116,20 @@ def test_exchange_transcript_shape(exercise, learner, partner):
     ]
 
 
+def test_sink_sees_all_calls(exercise, learner, partner):
+    seen = []
+
+    def logging(prompt, params):
+        seen.append(prompt)
+        return f"reply {len(seen)}"
+
+    record = exchange_and_resolve(learner, partner, exercise, FunctionBackend(logging))
+    assert [(c.prompt, c.reply) for c in record.calls] == [(p, f"reply {i}") for i, p in enumerate(seen, 1)]
+    assert [(c.step, c.actor_id) for c in record.calls] == [
+        (1, learner.id), (1, partner.id), (3, learner.id), (4, learner.id)
+    ]
+
+
 def test_exchange_steps_1_to_3_are_option_free(exercise, learner, partner):
     record = exchange_and_resolve(learner, partner, exercise, MockBackend(seed=0))
     assert option_leaks(record, exercise) == []
