@@ -8,8 +8,11 @@
 # temporary directory, and every output goes there too, so nothing is written
 # inside the repository. BLAS runs on one thread. The commands are the seed-42
 # mock suite, the seed-7 cache suite (its replay cache included), `report` on
-# both, and a 20-repeat profile of the fixture corpus. The exit status is that
-# of `diff -r`: 0 when both trees wrote the same bytes.
+# both, a 20-repeat profile of the fixture corpus, and two config files written
+# under the temporary directory: `suite --config` with top-level `seed`,
+# `train_domains` and `mock` and a variant that sets its own `mock_bonus`, and
+# `simulate --config ... --out` on the fixture corpus through the replay cache.
+# The exit status is that of `diff -r`: 0 when both trees wrote the same bytes.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -24,6 +27,29 @@ git -C "$repo" archive "$1" | tar -x -C "$tmp/base-tree"
 
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONDONTWRITEBYTECODE=1
 
+# no --seed or --backend flag goes with these files: a flag overrides a variant's own key
+cat > "$tmp/suite.json" <<'JSON'
+{
+  "seed": 11,
+  "train_domains": ["number_theory", "market_research", "modern_poetry"],
+  "mock": {"base_difficulty": 0.35, "bonus": 0.4},
+  "variants": [
+    {"name": "baseline", "role_setting": false, "co_learning": false},
+    {"name": "solo", "role_setting": true, "co_learning": false},
+    {"name": "random-pair", "role_setting": true, "co_learning": true, "mock_bonus": 0.25},
+    {"name": "gp-local", "role_setting": true, "co_learning": true, "regressor": "gp", "pareto": "local"}
+  ]
+}
+JSON
+cat > "$tmp/simulate.json" <<'JSON'
+{
+  "corpus": "fixture",
+  "seed": 3,
+  "backend": "cache",
+  "variant": {"name": "pair", "role_setting": true, "co_learning": true}
+}
+JSON
+
 run_commands() {  # source tree, output directory
     local out=$2
     (
@@ -35,6 +61,8 @@ run_commands() {  # source tree, output directory
         peermatch report --out "$out/suite-mock"
         peermatch report --out "$out/suite-cache"
         peermatch profile fixture --repeats 20 --seed 3 --out "$out/profile"
+        peermatch suite --config "$tmp/suite.json" --out "$out/suite-config"
+        peermatch simulate --config "$tmp/simulate.json" --out "$out/simulate-config"
     )
 }
 

@@ -7,7 +7,6 @@ import json
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Iterable
 
 from .backends import DecodeParams, LiveConfig, TransportError
 from .corpus import (
@@ -22,6 +21,7 @@ from .harness import (
     ConfigError,
     VariantConfig,
     build_backend,
+    check_types,
     default_suite_configs,
     default_synthetic_corpus,
     rerender_reports,
@@ -31,61 +31,65 @@ from .harness import (
 from .personas import Learner, Persona
 from .protocol import solve_exercise
 
-SUITE_KEYS = {"corpus", "seed", "backend", "train_domains", "mock", "live", "variants", "variant"}
 # config-file `mock` keys and the VariantConfig fields they set
 MOCK_KEYS = {"base_difficulty": "mock_base_difficulty", "bonus": "mock_bonus"}
-LIVE_KEYS = tuple(f.name for f in fields(LiveConfig))
 
 
-def _reject_unknown(mapping: dict, allowed: Iterable[str], where: str) -> None:
-    unknown = sorted(set(mapping).difference(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {unknown}")
+def _required(cls) -> list[str]:
+    return [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
 
 
-def _variant_from_dict(raw: dict, shared: dict) -> VariantConfig:
-    _reject_unknown(raw, CONFIG_KEYS, f"variant {raw.get('name', '?')!r}")
-    merged = {**shared, **raw}
-    missing = [k for k in ("name", "role_setting", "co_learning") if k not in merged]
-    if missing:
-        raise ConfigError(f"variant {raw.get('name', '?')!r}: missing key(s) {missing}")
-    return VariantConfig(**merged)
+def _read_config(args) -> tuple[list[VariantConfig], str | None, LiveConfig | None]:
+    """The variants, corpus spec and live settings from ``args.config``, every shape checked.
 
+    ``--seed`` and ``--backend`` override a variant's keys, which override the
+    top-level ones. A suite without a config file runs the default variants.
+    """
+    path, suite = args.config, args.command == "suite"
 
-def _load_config_file(path: str) -> dict:
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    _reject_unknown(raw, SUITE_KEYS, path)
-    if "mock" in raw:
-        _reject_unknown(raw["mock"], MOCK_KEYS, f"{path}: mock")
-    if "live" in raw:
-        _reject_unknown(raw["live"], LIVE_KEYS, f"{path}: live")
-        missing = [f.name for f in fields(LiveConfig) if f.default is MISSING and f.name not in raw["live"]]
+    def obj(value, key, allowed, required=()):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: {key} must be an object, got {value!r}")
+        unknown = sorted(set(value).difference(allowed))
+        if unknown:
+            raise ConfigError(f"{path}: {key}: unknown key(s) {unknown}")
+        missing = [k for k in required if k not in value]
         if missing:
-            raise ConfigError(f"{path}: live: missing key(s) {missing}")
-    return raw
+            raise ConfigError(f"{path}: {key}: missing key(s) {missing}")
+        return value
 
-
-def _shared_from_config(raw: dict, args) -> dict:
-    shared: dict = {}
-    if "seed" in raw:
-        shared["seed"] = raw["seed"]
-    if "backend" in raw:
-        shared["backend"] = raw["backend"]
-    if "train_domains" in raw:
-        shared["train_domains"] = raw["train_domains"]
-    for key, value in raw.get("mock", {}).items():
-        # a number becomes a float (1 and 1.0 name the same mock); any other value is left for validate() to reject
-        shared[MOCK_KEYS[key]] = float(value) if type(value) in (int, float) else value
-    if args.seed is not None:
-        shared["seed"] = args.seed
-    if args.backend is not None:
-        shared["backend"] = args.backend
-    return shared
-
-
-def _live_from_config(raw: dict) -> LiveConfig | None:
-    return LiveConfig(**raw["live"]) if "live" in raw else None
+    raw = {}
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as f:
+                raw = json.load(f)
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+            raise ConfigError(f"{path}: {exc}") from None
+    shared_keys = ("corpus", "seed", "backend", "train_domains", "mock", "live")
+    obj(raw, "the top level", (*shared_keys, "variants" if suite else "variant"), () if suite else ("variant",))
+    if not isinstance(raw.get("corpus", ""), str):
+        raise ConfigError(f"{path}: corpus must be a string, got {raw['corpus']!r}")
+    live = None
+    if "live" in raw:
+        live = LiveConfig(**obj(raw["live"], "live", [f.name for f in fields(LiveConfig)], _required(LiveConfig)))
+        check_types(live, f"{path}: live")
+    shared = {key: raw[key] for key in ("seed", "backend", "train_domains") if key in raw}
+    for key, value in obj(raw.get("mock", {}), "mock", MOCK_KEYS).items():
+        # an int in float range becomes a float (1 and 1.0 name the same mock); validate() rejects any other value
+        shared[MOCK_KEYS[key]] = float(value) if type(value) is int and abs(value) <= sys.float_info.max else value
+    flags = {key: value for key, value in (("seed", args.seed), ("backend", args.backend)) if value is not None}
+    if suite and "variants" not in raw:
+        if shared.get("train_domains") == []:
+            del shared["train_domains"]  # an empty list keeps the default split
+        return default_suite_configs(**{**shared, **flags}), raw.get("corpus"), live
+    variants = raw["variants"] if suite else [raw["variant"]]
+    if not isinstance(variants, list):
+        raise ConfigError(f"{path}: variants must be a list of objects, got {variants!r}")
+    required = _required(VariantConfig)
+    return [
+        VariantConfig(**{**shared, **obj(v, f"variants[{i}]" if suite else "variant", CONFIG_KEYS, required), **flags})
+        for i, v in enumerate(variants)
+    ], raw.get("corpus"), live
 
 
 def _resolve_corpus(spec):
@@ -141,41 +145,18 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    raw = _load_config_file(args.config)
-    if "variants" in raw:
-        raise ConfigError(f"{args.config}: simulate takes a single 'variant', not 'variants'")
-    shared = _shared_from_config(raw, args)
-    variant_raw = raw.get("variant")
-    if variant_raw is None:
-        raise ConfigError(f"{args.config}: simulate needs a 'variant' object")
-    cfg = _variant_from_dict(variant_raw, shared)
-    corpus = _resolve_corpus(raw.get("corpus"))
-    result = run_variant(cfg, corpus, out_dir=args.out, live=_live_from_config(raw))
-    stats = result.stats()
-    for category, cell in stats.items():
+    (cfg,), corpus, live = _read_config(args)
+    result = run_variant(cfg, _resolve_corpus(corpus), out_dir=args.out, live=live)
+    for category, cell in result.stats().items():
         print(f"{cfg.name} {category}: mean={cell.mean:.4f} best={cell.best:.4f} std={cell.std:.4f}")
     return 0
 
 
 def _cmd_suite(args) -> int:
-    if args.config:
-        raw = _load_config_file(args.config)
-        if "variant" in raw:
-            raise ConfigError(f"{args.config}: suite takes a 'variants' list, not 'variant'")
-    else:
-        raw = {}
-    shared = _shared_from_config(raw, args)
-    if "variants" in raw:
-        configs = [_variant_from_dict(v, shared) for v in raw["variants"]]
-    else:
-        if not shared.get("train_domains"):
-            shared.pop("train_domains", None)  # an empty list keeps the default split
-        configs = default_suite_configs(**shared)
-    corpus = _resolve_corpus(raw.get("corpus"))
-    suite = run_suite(configs, corpus, out_dir=args.out, live=_live_from_config(raw))
+    configs, corpus, live = _read_config(args)
+    suite = run_suite(configs, _resolve_corpus(corpus), out_dir=args.out, live=live)
     print(suite.gain_text)
-    if args.out:
-        print(f"reports written to {args.out}")
+    print(f"reports written to {args.out}")
     return 0
 
 
@@ -232,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, FileNotFoundError, TransportError) as exc:
+    except (ConfigError, ValueError, OSError, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -72,8 +73,19 @@ class ConfigError(ValueError):
     """Inconsistent or unknown variant configuration."""
 
 
-# a field's annotation -> the types validate() accepts for it; a bool is no number
+# a field's annotation -> the types check_types accepts for it; a bool is no number
 _CHECKED_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
+
+
+def check_types(config, where: str) -> None:
+    """Reject a dataclass field whose value is not of its annotated type, or a ``float`` that is not finite."""
+    for f in fields(config):
+        kind, value = _CHECKED_TYPES.get(f.type), getattr(config, f.name)
+        if kind is not None and (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)):
+            raise ConfigError(f"{where}: {f.name} must be {f.type}, got {value!r}")
+        # json.load reads NaN and Infinity, and an int beyond the float range overflows once used as one
+        if f.type == "float" and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(f"{where}: {f.name} must be a finite float, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,10 +123,9 @@ class VariantConfig:
 
     def validate(self) -> None:
         """Reject a wrong type or an inconsistent setting; a value that passes is used as given."""
-        for f in fields(self):
-            kind, value = _CHECKED_TYPES.get(f.type), getattr(self, f.name)
-            if kind is not None and (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)):
-                raise ConfigError(f"{self.name}: {f.name} must be {f.type}, got {value!r}")
+        check_types(self, self.name)
+        if "/" in self.name or "\0" in self.name or len(self.name.encode("utf-8")) > 200:
+            raise ConfigError(f"{self.name!r}: a variant name names its files: no '/' or NUL, at most 200 UTF-8 bytes")
         if not all(isinstance(domain, str) for domain in self.train_domains):
             raise ConfigError(f"{self.name}: train_domains must be domain names, got {list(self.train_domains)!r}")
         if self.regressor not in REGRESSOR_KINDS:

@@ -1,6 +1,11 @@
+import copy
 import json
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from peermatch.backends import MockBackend
 from peermatch.cli import main
@@ -107,6 +112,12 @@ def _no_backend_call(backend, prompt, params):
         ({}, {"train_domains": ["number_theory", 3]}, "train_domains must be domain names, got ['number_theory', 3]"),
         ({}, {"train_domains": 3}, "train_domains must be a list of domain names, got 3"),
         ({}, {"gain_baseline": "mean"}, "unknown gain baseline 'mean'"),
+        # json.load reads NaN and Infinity; a NaN bonus scored every answer wrong, an infinite one every complementary answer right
+        ({"mock": {"bonus": float("nan")}}, {}, "mock_bonus must be a finite float, got nan"),
+        ({}, {"mock_base_difficulty": float("inf")}, "mock_base_difficulty must be a finite float, got inf"),
+        ({"mock": {"base_difficulty": -(10**400)}}, {}, "mock_base_difficulty must be a finite float, got -1000"),
+        ({"live": {"base_url": "http://127.0.0.1:9", "model": "m", "timeout_s": float("-inf")}}, {},
+         "live: timeout_s must be a finite float, got -inf"),
     ],
 )
 def test_simulate_rejects_mistyped_values(tmp_path, capsys, monkeypatch, top, variant, message):
@@ -115,6 +126,110 @@ def test_simulate_rejects_mistyped_values(tmp_path, capsys, monkeypatch, top, va
     assert main(["simulate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "name", ["../../escaped", "a\u0000b", "x" * 201, "\ud800"], ids=["parent-dir", "nul", "201-bytes", "lone-surrogate"],
+)
+def test_simulate_rejects_a_name_that_cannot_name_its_files(tmp_path, capsys, monkeypatch, name):
+    # the name is the stem of files under --out: it must not leave --out, nor fail only once every call is made
+    monkeypatch.setattr(MockBackend, "complete", _no_backend_call)
+    cfg = _variant_config(tmp_path, {"name": name})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out" / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert [p.name for p in tmp_path.rglob("*")] == ["config.json"]
+
+
+def test_simulate_corpus_path_the_os_rejects_exits_2(tmp_path, capsys, monkeypatch):
+    # a path component longer than file systems allow raises an OSError that is no FileNotFoundError
+    monkeypatch.setattr(MockBackend, "complete", _no_backend_call)
+    cfg = _variant_config(tmp_path, corpus="x" * 300)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+_LIVE = {"base_url": "http://127.0.0.1:9", "model": "m"}
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("suite", '{"variants": [5]}', "variants[0] must be an object"),
+        ("suite", '{"variants": "abc"}', "variants must be a list of objects"),
+        ("suite", '{"variants": null}', "variants must be a list of objects"),
+        ("suite", '{"variants": {"a": 1}}', "variants must be a list of objects"),
+        ("suite", '{"mock": 5}', "mock must be an object"),
+        ("suite", '{"live": 5}', "live must be an object"),
+        ("suite", '{"corpus": 5}', "corpus must be a string"),
+        ("suite", '{"corpus": ["x"]}', "corpus must be a string"),
+        ("suite", json.dumps({"live": {**_LIVE, "base_url": 5}}), "live: base_url must be str"),
+        ("suite", json.dumps({"live": {**_LIVE, "timeout_s": "x"}}), "live: timeout_s must be float"),
+        ("suite", json.dumps({"live": {**_LIVE, "token_env": None}}), "live: token_env must be str"),
+        ("suite", "[1, 2]", "the top level must be an object"),
+        ("suite", "null", "the top level must be an object"),
+        ("suite", '{"variant": {}}', "the top level: unknown key(s) ['variant']"),
+        ("simulate", '{"variant": []}', "variant must be an object"),
+        ("simulate", '{"mock": null, "variant": {}}', "mock must be an object"),
+        ("simulate", '{"variants": []}', "the top level: unknown key(s) ['variants']"),
+        ("simulate", "{}", "the top level: missing key(s) ['variant']"),
+        ("simulate", "{nope", "Expecting property name"),
+        ("simulate", None, "Is a directory"),
+    ],
+)
+def test_malformed_config_names_file_and_key_before_any_backend_call(tmp_path, capsys, monkeypatch, command, text, key):
+    monkeypatch.setattr(MockBackend, "complete", _no_backend_call)
+    path = tmp_path / "config.json"
+    if text is None:  # a directory where the file should be
+        path.mkdir()
+    else:
+        path.write_text(text, "utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=8,
+)
+_SIMULATE_CONFIG = {
+    "corpus": "fixture",
+    "seed": 3,
+    "backend": "mock",
+    "train_domains": [],
+    "mock": {"base_difficulty": 0.4, "bonus": 0.3},
+    "variant": {"name": "baseline", "role_setting": False, "co_learning": False},
+}
+_CONFIG_PATHS = [(key,) for key in _SIMULATE_CONFIG] + [
+    (section, key) for section in ("mock", "variant") for key in _SIMULATE_CONFIG[section]
+]
+_complete = MockBackend.complete
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(where=st.sampled_from(_CONFIG_PATHS), value=_JSON_VALUES)
+def test_simulate_config_with_any_value_in_one_key_exits_0_or_2(tmp_path, monkeypatch, where, value):
+    # a relative corpus path resolves in a directory that holds no corpus
+    monkeypatch.chdir(tmp_path)
+    config = copy.deepcopy(_SIMULATE_CONFIG)
+    *sections, key = where
+    target = config[sections[0]] if sections else config
+    target[key] = value
+    calls = []
+
+    def complete(backend, prompt, params):
+        calls.append(prompt)
+        return _complete(backend, prompt, params)
+
+    with tempfile.TemporaryDirectory(dir=tmp_path) as run, mock.patch.object(MockBackend, "complete", complete):
+        path = f"{run}/config.json"
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(config, f)
+        rc = main(["simulate", "--config", path, "--out", f"{run}/out"])
+    assert rc in (0, 2)
+    assert rc == 0 or not calls
 
 
 def test_suite_config_unknown_top_level_key(tmp_path, capsys):
@@ -180,13 +295,22 @@ def test_suite_config_errors_stop_the_run_before_any_backend_call(tmp_path, caps
 
 
 def test_suite_seed_flag_overrides_config(tmp_path):
-    cfg = _suite_config(tmp_path)
+    # flags override a variant's own keys, which override the top-level ones (seed 4, backend mock)
+    cfg = _suite_config(tmp_path, [
+        {"name": "baseline", "role_setting": False, "co_learning": False, "seed": 5},
+        {"name": "solo", "role_setting": True, "co_learning": False},
+        {"name": "random-pair", "role_setting": True, "co_learning": True, "seed": 5, "backend": "cache"},
+    ])
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["suite", "--config", str(cfg), "--seed", "77", "--out", str(out1)]) == 0
+    assert main(["suite", "--config", str(cfg), "--seed", "77", "--backend", "mock", "--out", str(out1)]) == 0
     assert main(["suite", "--config", str(cfg), "--out", str(out2)]) == 0
     assert (out1 / "results.json").read_bytes() != (out2 / "results.json").read_bytes()
-    results = json.loads((out1 / "results.json").read_text("utf-8"))
-    assert results["variants"][0]["config"]["seed"] == 77
+    echoed = {}
+    for out in (out1, out2):
+        variants = json.loads((out / "results.json").read_text("utf-8"))["variants"]
+        echoed[out.name] = [(v["config"]["seed"], v["config"]["backend"]) for v in variants]
+    assert echoed["a"] == [(77, "mock")] * 3
+    assert echoed["b"] == [(5, "mock"), (4, "mock"), (5, "cache")]
 
 
 def test_suite_defaults_without_config(tmp_path):
