@@ -8,8 +8,9 @@
 # temporary directory, and every output goes there too, so nothing is written
 # inside the repository. BLAS runs on one thread. The commands are the seed-42
 # mock suite, the seed-7 cache suite (its replay cache included), `report` on
-# both, a 20-repeat profile of the fixture corpus, and two config files written
-# under the temporary directory: `suite --config` with top-level `seed`,
+# a copy of each suite's results.json (so that the reports `suite` wrote are
+# compared too), a 20-repeat profile and an `ingest` of the fixture corpus, and
+# two config files written under the temporary directory: `suite --config` with top-level `seed`,
 # `train_domains` and `mock` and a variant that sets its own `mock_bonus`, and
 # `simulate --config ... --out` on the fixture corpus through the replay cache.
 # The exit status is that of `diff -r`: 0 when both trees wrote the same bytes.
@@ -58,9 +59,13 @@ run_commands() {  # source tree, output directory
         peermatch() { python3 -m peermatch.cli "$@" > /dev/null; }
         peermatch suite --seed 42 --backend mock --out "$out/suite-mock"
         peermatch suite --seed 7 --backend cache --out "$out/suite-cache"
-        peermatch report --out "$out/suite-mock"
-        peermatch report --out "$out/suite-cache"
+        for suite in suite-mock suite-cache; do
+            mkdir "$out/report-$suite"
+            cp "$out/$suite/results.json" "$out/report-$suite/"
+            peermatch report --out "$out/report-$suite"
+        done
         peermatch profile fixture --repeats 20 --seed 3 --out "$out/profile"
+        peermatch ingest "$1/src/peermatch/data/cmmlu_fixture" --out "$out/ingest"
         peermatch suite --config "$tmp/suite.json" --out "$out/suite-config"
         peermatch simulate --config "$tmp/simulate.json" --out "$out/simulate-config"
     )

@@ -19,6 +19,7 @@ from typing import Protocol
 
 from .hashing import sha256_hex, stable_u64, unit_uniform
 from .personas import default_prompts
+from .writer import write_file
 
 
 class TransportError(RuntimeError):
@@ -199,15 +200,8 @@ class CachingBackend:
             # read and written without newline translation, which would turn \r\n into \n
             return path.read_bytes().decode("utf-8")
         reply = self.inner.complete(prompt, params)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # a crash mid-write must not leave a truncated entry that replays as a hit
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(reply, "utf-8", newline="")
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        # written whole: a crash mid-write must not leave a truncated entry that replays as a hit
+        write_file(path, reply)
         self.misses += 1
         return reply
 

@@ -28,8 +28,10 @@ from .harness import (
     run_suite,
     run_variant,
 )
+from .metrics import compute_metrics
 from .personas import Learner, Persona
 from .protocol import solve_exercise
+from .writer import write_file
 
 # config-file `mock` keys and the VariantConfig fields they set
 MOCK_KEYS = {"base_difficulty": "mock_base_difficulty", "bonus": "mock_bonus"}
@@ -103,7 +105,6 @@ def _resolve_corpus(spec):
 def _cmd_ingest(args) -> int:
     exercises = load_corpus(args.path)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_corpus(exercises, out / "corpus.csv")
     blocks = group_by_domain(exercises)
     summary = {
@@ -113,7 +114,7 @@ def _cmd_ingest(args) -> int:
     }
     for e in exercises:
         summary["categories"][e.category] = summary["categories"].get(e.category, 0) + 1
-    (out / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True), "utf-8")
+    write_file(out / "summary.json", json.dumps(summary, indent=1, sort_keys=True))
     print(f"ingested {len(exercises)} exercises from {len(blocks)} domains -> {out}")
     return 0
 
@@ -125,6 +126,7 @@ def _cmd_profile(args) -> int:
         seed=args.seed or 0, backend=args.backend or "mock",
     )
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before the first call: an unusable --out costs none
     backend = build_backend(cfg, cache_dir=out / "cache")
     probe = Learner(id="probe", persona=Persona(0, 0))
     # a generator: each record holds its prompt, so a list of every answer would hold every prompt at once
@@ -134,7 +136,6 @@ def _cmd_profile(args) -> int:
         for exercise in exercises
     )
     profile = difficulty_profile(exercises, records, args.repeats)
-    out.mkdir(parents=True, exist_ok=True)
     profile.save(out / "difficulty.csv")
     share = profile.share_below(args.threshold)
     print(
@@ -147,7 +148,7 @@ def _cmd_profile(args) -> int:
 def _cmd_simulate(args) -> int:
     (cfg,), corpus, live = _read_config(args)
     result = run_variant(cfg, _resolve_corpus(corpus), out_dir=args.out, live=live)
-    for category, cell in result.stats().items():
+    for category, cell in compute_metrics(result.per_learner).items():
         print(f"{cfg.name} {category}: mean={cell.mean:.4f} best={cell.best:.4f} std={cell.std:.4f}")
     return 0
 

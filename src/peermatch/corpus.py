@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .hashing import stable_u64
+from .writer import csv_text, write_file
 
 log = logging.getLogger(__name__)
 
@@ -151,15 +152,11 @@ def load_corpus(path: str | Path) -> list[Exercise]:
 
 def save_corpus(exercises: Sequence[Exercise], path: str | Path) -> None:
     """Write a consolidated CSV that load_corpus reads back unchanged."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["id", "question", *OPTION_COLUMNS, "answer", "domain"])
-        for e in exercises:
-            if len(e.options) != len(OPTION_COLUMNS):
-                raise CorpusError(f"exercise {e.id!r}: expected {len(OPTION_COLUMNS)} options")
-            writer.writerow([e.id, e.stem, *e.options, e.key, e.domain])
+    for e in exercises:
+        if len(e.options) != len(OPTION_COLUMNS):
+            raise CorpusError(f"exercise {e.id!r}: expected {len(OPTION_COLUMNS)} options")
+    rows = ([e.id, e.stem, *e.options, e.key, e.domain] for e in exercises)
+    write_file(path, csv_text(["id", "question", *OPTION_COLUMNS, "answer", "domain"], rows))
 
 
 def fixture_corpus_path() -> Path:
@@ -190,13 +187,8 @@ class DifficultyProfile:
         return low / len(self.means)
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["exercise_id", "mean_accuracy", "n_repeats"])
-            for ex_id, mean in self.means.items():
-                writer.writerow([ex_id, f"{mean:.6f}", self.repeats])
+        rows = ([ex_id, f"{mean:.6f}", self.repeats] for ex_id, mean in self.means.items())
+        write_file(path, csv_text(["exercise_id", "mean_accuracy", "n_repeats"], rows))
 
 
 def difficulty_profile(exercises: Sequence[Exercise], records, repeats: int) -> DifficultyProfile:

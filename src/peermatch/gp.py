@@ -24,6 +24,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .blas import one_blas_thread
+from .writer import write_file
 
 SNAPSHOT_FORMAT = "gp-snapshot/1"
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -262,9 +263,7 @@ class FittedGp:
             "x": [[repr(float(v)) for v in row] for row in self.X],
             "y": [repr(float(v)) for v in self.y],
         }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=1), "utf-8")
+        write_file(path, json.dumps(payload, indent=1))
 
 
 def _ascend(D2, y, theta0, config: GpFitConfig):

@@ -34,9 +34,7 @@ from .gp import GpFitConfig, GpRegressor
 from .hashing import stable_u64
 from .metrics import (
     CATEGORY_ORDER,
-    MetricsTable,
-    Stats,
-    build_table,
+    Table,
     compute_metrics,
     gain_report,
     write_category_table_csv,
@@ -56,6 +54,7 @@ from .pareto import (
 )
 from .personas import Learner, default_cohort
 from .protocol import CallEvent, ResponseRecord, exchange_and_resolve, solve_exercise
+from .writer import write_file
 
 log = logging.getLogger(__name__)
 
@@ -126,6 +125,8 @@ class VariantConfig:
         check_types(self, self.name)
         if "/" in self.name or "\0" in self.name or len(self.name.encode("utf-8")) > 200:
             raise ConfigError(f"{self.name!r}: a variant name names its files: no '/' or NUL, at most 200 UTF-8 bytes")
+        if self.seed < 0:
+            raise ConfigError(f"{self.name}: seed must be non-negative, got {self.seed}")
         if not all(isinstance(domain, str) for domain in self.train_domains):
             raise ConfigError(f"{self.name}: train_domains must be domain names, got {list(self.train_domains)!r}")
         if self.regressor not in REGRESSOR_KINDS:
@@ -146,15 +147,6 @@ class VariantConfig:
             raise ConfigError(f"{self.name}: unknown selection rule {self.selection_rule!r}")
         if self.gain_baseline not in ("self", "partner"):
             raise ConfigError(f"{self.name}: unknown gain baseline {self.gain_baseline!r}")
-
-    def component_flags(self) -> tuple[str, bool, bool, bool, bool]:
-        return (
-            self.name,
-            self.role_setting,
-            self.co_learning,
-            self.regressor == "gp",
-            self.pareto != "none",
-        )
 
     def echo(self) -> dict:
         return {key: getattr(self, key) for key in CONFIG_KEYS}
@@ -192,9 +184,6 @@ class RunResult:
     selections: tuple[SelectionEvent, ...]
     lp_fallbacks: int
     artifacts: dict[str, str]
-
-    def stats(self) -> dict[str, Stats]:
-        return compute_metrics(self.per_learner)
 
 
 def _decode_seed(learner_id: str, exercise_id: str) -> int:
@@ -243,8 +232,7 @@ class _TranscriptLog:
 
     def save(self, path: Path, run_id: str) -> None:
         head = '{"run_id": ' + json.dumps(run_id, ensure_ascii=False) + ", "
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("".join(f"{head}{line}\n" for line in self.lines), "utf-8")
+        write_file(path, "".join(f"{head}{line}\n" for line in self.lines))
 
 
 _MISSING = object()
@@ -380,7 +368,8 @@ def run_variant(
     variant's answers are the train phase's persona solos, and matched
     variants share every test pair they have in common. Without ``shared``
     the variant makes its own, which changes no output. A cache backend
-    keeps its replay cache in ``out_dir / "cache"``.
+    keeps its replay cache in ``out_dir / "cache"``. ``out_dir`` is made
+    before the first call, so an unusable one costs no call.
     """
     cfg.validate()
     cohort = cohort or default_cohort()
@@ -392,6 +381,8 @@ def run_variant(
     learners = [cohort[key] for key in sorted(cohort)]
     if len(learners) < 2 and cfg.co_learning:
         raise ConfigError(f"{cfg.name}: co-learning needs at least two learners")
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     others = {l.id: [p for p in learners if p.id != l.id] for l in learners}
     all_blocks = train_blocks + test_blocks
     test_exercises = [e for b in test_blocks for e in b.exercises]
@@ -542,7 +533,7 @@ def _is_baseline(cfg: VariantConfig) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SuiteResult:
-    table: MetricsTable
+    table: Table
     gain_text: str
     results: tuple[RunResult, ...]
 
@@ -560,7 +551,8 @@ def run_suite(
     Every config is validated, and the variant names checked for repeats,
     before the first backend call. The variants share one ``_SuiteWork``:
     each distinct backend call, protocol job, dataset, fit and stem
-    embedding is computed once per suite.
+    embedding is computed once per suite. The reports are rendered from the
+    ``results.json`` payload, by the function ``rerender_reports`` uses.
     """
     for cfg in configs:
         cfg.validate()
@@ -571,7 +563,6 @@ def run_suite(
     baselines = [cfg.name for cfg in configs if _is_baseline(cfg)]
     if not baselines:
         raise ConfigError("suite needs a baseline variant (no roles, no co-learning)")
-    baseline = baselines[0]
     cohort = cohort or default_cohort()
     work = _SuiteWork()
 
@@ -586,58 +577,62 @@ def run_suite(
             exc.args = (f"variant {cfg.name!r}: {head}", *exc.args[1:])
             raise
 
-    table = build_table([(res.config.name, res.stats()) for res in results])
-    gain_text = gain_report(table, baseline)
-
+    payload = {
+        "baseline": baselines[0],
+        "variants": [
+            {
+                "config": res.config.echo(),
+                "per_learner": res.per_learner,
+                "lp_fallbacks": res.lp_fallbacks,
+                "selections": [
+                    {
+                        "learner_id": s.learner_id,
+                        "partner_id": s.partner_id,
+                        "domain": s.domain,
+                        "exercise_id": s.exercise_id,
+                        "complementary": s.complementary,
+                    }
+                    for s in res.selections
+                ],
+                "artifacts": res.artifacts,
+            }
+            for res in results
+        ],
+    }
+    table, gain_text = render_reports(payload, out_dir)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_reports(out_dir, table, [res.config.component_flags() for res in results], baseline)
-        payload = {
-            "baseline": baseline,
-            "variants": [
-                {
-                    "config": res.config.echo(),
-                    "per_learner": res.per_learner,
-                    "lp_fallbacks": res.lp_fallbacks,
-                    "selections": [
-                        {
-                            "learner_id": s.learner_id,
-                            "partner_id": s.partner_id,
-                            "domain": s.domain,
-                            "exercise_id": s.exercise_id,
-                            "complementary": s.complementary,
-                        }
-                        for s in res.selections
-                    ],
-                    "artifacts": res.artifacts,
-                }
-                for res in results
-            ],
-        }
-        (out_dir / "results.json").write_text(json.dumps(payload, indent=1, sort_keys=True), "utf-8")
-
+        write_file(Path(out_dir) / "results.json", json.dumps(payload, indent=1, sort_keys=True))
     return SuiteResult(table=table, gain_text=gain_text, results=tuple(results))
 
 
-def _write_reports(
-    out_dir: Path,
-    table: MetricsTable,
-    rows: Sequence[tuple[str, bool, bool, bool, bool]],
-    baseline: str,
-) -> None:
-    """The category and component tables, each as CSV and as aligned text."""
-    write_category_table_csv(table, out_dir / "category_table.csv")
-    write_category_table_text(table, out_dir / "category_table.txt")
-    write_component_table_csv(rows, table, baseline, out_dir / "component_table.csv")
-    write_component_table_text(rows, table, baseline, out_dir / "component_table.txt")
+def render_reports(payload: dict, out_dir: str | Path | None = None) -> tuple[Table, str]:
+    """The table and gain report of a ``results.json`` payload; with ``out_dir``, its report files too.
+
+    The files are the category and component tables, each as CSV and as
+    aligned text. The payload is read whole before the first file is written.
+    """
+    variants, baseline = payload["variants"], payload["baseline"]
+    table = {v["config"]["name"]: compute_metrics(v["per_learner"]) for v in variants}
+    if len(table) != len(variants):
+        raise ConfigError("a variant name repeats; each names its own report rows")
+    rows = [
+        (c["name"], c["role_setting"], c["co_learning"], c["regressor"] == "gp", c["pareto"] != "none")
+        for c in (v["config"] for v in variants)
+    ]
+    gain_text = gain_report(table, baseline)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        write_category_table_csv(table, out_dir / "category_table.csv")
+        write_category_table_text(table, out_dir / "category_table.txt")
+        write_component_table_csv(rows, table, baseline, out_dir / "component_table.csv")
+        write_component_table_text(rows, table, baseline, out_dir / "component_table.txt")
+    return table, gain_text
 
 
 def rerender_reports(out_dir: str | Path) -> None:
-    """Rebuild the report files from a stored results.json."""
-    out_dir = Path(out_dir)
-    payload = json.loads((out_dir / "results.json").read_text("utf-8"))
-    variants = payload["variants"]
-    configs = [VariantConfig(**v["config"]) for v in variants]
-    table = build_table([(cfg.name, compute_metrics(v["per_learner"])) for cfg, v in zip(configs, variants)])
-    _write_reports(out_dir, table, [cfg.component_flags() for cfg in configs], payload["baseline"])
+    """Rewrite the report files from a stored results.json."""
+    path = Path(out_dir) / "results.json"
+    try:
+        render_reports(json.loads(path.read_text("utf-8")), out_dir)
+    except (ValueError, LookupError, TypeError) as exc:  # a file of another shape
+        raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from None

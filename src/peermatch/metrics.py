@@ -7,11 +7,12 @@ total accuracy in percent together with its gain over the baseline row.
 
 from __future__ import annotations
 
-import csv
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
+
+from .writer import csv_text, write_file
 
 CATEGORY_ORDER = ("STEM", "Social Science", "Humanities", "Total")
 
@@ -29,6 +30,12 @@ class Stats:
     def __post_init__(self) -> None:
         if self.best < self.mean - 1e-12 or self.std < 0.0:
             raise MetricsError(f"inconsistent stats: {self}")
+
+
+# variant -> category -> Stats, in report row order
+Table = Mapping[str, Mapping[str, Stats]]
+# (variant, role setting, co-learning, Gaussian process, Pareto front)
+ComponentRow = tuple[str, bool, bool, bool, bool]
 
 
 def compute_metrics(per_learner: Mapping[str, Mapping[str, float]]) -> dict[str, Stats]:
@@ -53,28 +60,6 @@ def compute_metrics(per_learner: Mapping[str, Mapping[str, float]]) -> dict[str,
     return out
 
 
-@dataclass(frozen=True)
-class MetricsTable:
-    """Rows of (variant, category) -> Stats, in variant order."""
-
-    variants: tuple[str, ...]
-    cells: dict[tuple[str, str], Stats]
-
-    def stats(self, variant: str, category: str) -> Stats:
-        return self.cells[(variant, category)]
-
-    def total_mean(self, variant: str) -> float:
-        return self.cells[(variant, "Total")].mean
-
-
-def build_table(rows: Sequence[tuple[str, Mapping[str, Stats]]]) -> MetricsTable:
-    cells = {}
-    for variant, stats in rows:
-        for category, cell in stats.items():
-            cells[(variant, category)] = cell
-    return MetricsTable(variants=tuple(v for v, _ in rows), cells=cells)
-
-
 def format_gain_cell(total_mean: float, baseline_mean: float) -> str:
     """Percent accuracy with signed gain, e.g. 0.3047 vs 0.26 -> "30.47 (+4.47)"."""
     gain = (total_mean - baseline_mean) * 100.0
@@ -82,86 +67,60 @@ def format_gain_cell(total_mean: float, baseline_mean: float) -> str:
     return f"{total_mean * 100.0:.2f} ({sign}{abs(gain):.2f})"
 
 
-def gain_report(table: MetricsTable, baseline: str) -> str:
+def gain_report(table: Table, baseline: str) -> str:
     """Aligned text, one variant per line with its gain over the baseline."""
-    if baseline not in table.variants:
+    if baseline not in table:
         raise MetricsError(f"baseline variant {baseline!r} not in table")
-    base = table.total_mean(baseline)
-    width = max(len(v) for v in table.variants)
+    base = table[baseline]["Total"].mean
+    width = max(map(len, table))
     lines = [f"{'variant'.ljust(width)}  accuracy (gain) %"]
-    for variant in table.variants:
-        lines.append(f"{variant.ljust(width)}  {format_gain_cell(table.total_mean(variant), base)}")
+    for variant, by_category in table.items():
+        lines.append(f"{variant.ljust(width)}  {format_gain_cell(by_category['Total'].mean, base)}")
     return "\n".join(lines) + "\n"
 
 
-def write_category_table_csv(table: MetricsTable, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["variant", "category", "mean", "best", "std"])
-        for variant in table.variants:
-            for category in CATEGORY_ORDER:
-                s = table.stats(variant, category)
-                writer.writerow([variant, category, f"{s.mean:.4f}", f"{s.best:.4f}", f"{s.std:.4f}"])
+def _aligned_text(header: str, lines: Sequence[str]) -> str:
+    return "\n".join([header, "-" * len(header), *lines]) + "\n"
 
 
-def write_category_table_text(table: MetricsTable, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    width = max(max(len(v) for v in table.variants), len("variant"))
+def write_category_table_csv(table: Table, path: str | Path) -> None:
+    rows = (
+        [variant, category, *(f"{value:.4f}" for value in astuple(by_category[category]))]
+        for variant, by_category in table.items()
+        for category in CATEGORY_ORDER
+    )
+    write_file(path, csv_text(["variant", "category", "mean", "best", "std"], rows))
+
+
+def write_category_table_text(table: Table, path: str | Path) -> None:
+    width = max(map(len, [*table, "variant"]))
     header = f"{'variant'.ljust(width)}  metric  " + "  ".join(f"{c:>14}" for c in CATEGORY_ORDER)
-    lines = [header, "-" * len(header)]
-    for variant in table.variants:
+    lines = []
+    for variant, by_category in table.items():
         for metric in ("mean", "best", "std"):
-            values = [getattr(table.stats(variant, c), metric) for c in CATEGORY_ORDER]
-            label = variant if metric == "mean" else ""
-            lines.append(f"{label.ljust(width)}  {metric:<6}  " + "  ".join(f"{v:>14.4f}" for v in values))
-    path.write_text("\n".join(lines) + "\n", "utf-8")
+            values = "  ".join(f"{getattr(by_category[c], metric):>14.4f}" for c in CATEGORY_ORDER)
+            lines.append(f"{(variant if metric == 'mean' else '').ljust(width)}  {metric:<6}  {values}")
+    write_file(path, _aligned_text(header, lines))
 
 
-def write_component_table_csv(
-    rows: Sequence[tuple[str, bool, bool, bool, bool]],
-    table: MetricsTable,
-    baseline: str,
-    path: str | Path,
-) -> None:
+def write_component_table_csv(rows: Sequence[ComponentRow], table: Table, baseline: str, path: str | Path) -> None:
     """Component matrix: variant flags plus the accuracy (gain) cell."""
-    base = table.total_mean(baseline)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["variant", "role_setting", "co_learning", "gaussian_process", "pareto_front", "accuracy_gain_pct"]
-        )
-        for name, role, co, gauss, front in rows:
-            writer.writerow(
-                [
-                    name,
-                    str(role).lower(),
-                    str(co).lower(),
-                    str(gauss).lower(),
-                    str(front).lower(),
-                    format_gain_cell(table.total_mean(name), base),
-                ]
-            )
+    base = table[baseline]["Total"].mean
+    header = ["variant", "role_setting", "co_learning", "gaussian_process", "pareto_front", "accuracy_gain_pct"]
+    cells = (
+        [name, *(str(flag).lower() for flag in flags), format_gain_cell(table[name]["Total"].mean, base)]
+        for name, *flags in rows
+    )
+    write_file(path, csv_text(header, cells))
 
 
-def write_component_table_text(
-    rows: Sequence[tuple[str, bool, bool, bool, bool]],
-    table: MetricsTable,
-    baseline: str,
-    path: str | Path,
-) -> None:
-    base = table.total_mean(baseline)
-    width = max(max(len(r[0]) for r in rows), len("variant"))
-    flags = ("role", "co-learn", "gauss", "pareto")
-    header = f"{'variant'.ljust(width)}  " + "  ".join(f"{f:>8}" for f in flags) + "  accuracy (gain) %"
-    lines = [header, "-" * len(header)]
-    for name, role, co, gauss, front in rows:
-        marks = "  ".join(f"{'yes' if flag else 'no':>8}" for flag in (role, co, gauss, front))
-        lines.append(f"{name.ljust(width)}  {marks}  {format_gain_cell(table.total_mean(name), base)}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", "utf-8")
+def write_component_table_text(rows: Sequence[ComponentRow], table: Table, baseline: str, path: str | Path) -> None:
+    base = table[baseline]["Total"].mean
+    width = max(map(len, [*(r[0] for r in rows), "variant"]))
+    flag_names = "  ".join(f"{f:>8}" for f in ("role", "co-learn", "gauss", "pareto"))
+    header = f"{'variant'.ljust(width)}  {flag_names}  accuracy (gain) %"
+    lines = []
+    for name, *flags in rows:
+        marks = "  ".join(f"{'yes' if flag else 'no':>8}" for flag in flags)
+        lines.append(f"{name.ljust(width)}  {marks}  {format_gain_cell(table[name]['Total'].mean, base)}")
+    write_file(path, _aligned_text(header, lines))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .gp import FitError, Prediction
+from .writer import write_file
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,7 @@ class FittedMlp:
             "b2": self.b2,
             "final_loss": self.final_loss,
         }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload), "utf-8")
+        write_file(path, json.dumps(payload))
 
 
 @one_blas_thread()

@@ -19,6 +19,7 @@ from .corpus import ExerciseBlock
 from .features import EmbeddingProvider, ScoreIndex, block_sum, build_sample_vector, domain_vector
 from .gp import FittedRegressor
 from .personas import Learner
+from .writer import write_file
 
 
 class DomainMismatchError(ValueError):
@@ -198,6 +199,4 @@ def dump_front(front: ParetoFront, scored: Sequence[CandidateScore]) -> dict:
 
 
 def save_front_dumps(dumps: Sequence[dict], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(list(dumps), indent=1, sort_keys=True), "utf-8")
+    write_file(path, json.dumps(list(dumps), indent=1, sort_keys=True))

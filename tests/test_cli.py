@@ -94,7 +94,7 @@ def test_simulate_rejects_bare_string_train_domains(tmp_path, capsys):
 
 
 def _no_backend_call(backend, prompt, params):
-    raise AssertionError("a config error must stop the run before any backend call")
+    raise AssertionError("an error in the command's input must stop the run before any backend call")
 
 
 @pytest.mark.parametrize(
@@ -118,6 +118,9 @@ def _no_backend_call(backend, prompt, params):
         ({"mock": {"base_difficulty": -(10**400)}}, {}, "mock_base_difficulty must be a finite float, got -1000"),
         ({"live": {"base_url": "http://127.0.0.1:9", "model": "m", "timeout_s": float("-inf")}}, {},
          "live: timeout_s must be a finite float, got -inf"),
+        # the fit's random generator takes no negative seed, and the fit runs only after the train phase's calls
+        ({"corpus": "fixture"}, {"co_learning": True, "regressor": "gp", "pareto": "global", "seed": -1,
+                                 "train_domains": ["logical"]}, "solo: seed must be non-negative, got -1"),
     ],
 )
 def test_simulate_rejects_mistyped_values(tmp_path, capsys, monkeypatch, top, variant, message):
@@ -146,6 +149,21 @@ def test_simulate_corpus_path_the_os_rejects_exits_2(tmp_path, capsys, monkeypat
     cfg = _variant_config(tmp_path, corpus="x" * 300)
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-cache", "suite", "profile"])
+def test_unusable_out_fails_before_any_backend_call(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(MockBackend, "complete", _no_backend_call)
+    (tmp_path / "file").write_text("", "utf-8")
+    args = {
+        "simulate": ["simulate", "--config", str(_variant_config(tmp_path))],
+        "simulate-cache": ["simulate", "--config", str(_variant_config(tmp_path)), "--backend", "cache"],
+        "suite": ["suite", "--config", str(_suite_config(tmp_path))],
+        "profile": ["profile", "fixture", "--repeats", "1"],
+    }[command]
+    assert main([*args, "--out", str(tmp_path / "file" / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Not a directory" in err
 
 
 _LIVE = {"base_url": "http://127.0.0.1:9", "model": "m"}
@@ -271,6 +289,39 @@ def test_suite_and_report_round_trip(tmp_path, capsys):
     assert main(["report", "--out", str(out1)]) == 0
     for name in ("category_table.csv", "component_table.csv"):
         assert (out1 / name).read_bytes() == before[name]
+
+
+_ONE_VARIANT_RESULTS = {
+    "baseline": "b",
+    "variants": [{
+        "config": {"name": "b", "role_setting": False, "co_learning": False, "regressor": "none", "pareto": "none"},
+        "per_learner": {"L0": {"STEM": 0.5, "Social Science": 0.5, "Humanities": 0.5, "Total": 0.5}},
+    }],
+}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({}, "KeyError: 'variants'"),
+        ([1], "TypeError: list indices"),
+        ({**_ONE_VARIANT_RESULTS, "baseline": "x"}, "baseline variant 'x' not in table"),
+        ({**_ONE_VARIANT_RESULTS, "variants": [{**_ONE_VARIANT_RESULTS["variants"][0], "config": {"name": "b"}}]},
+         "KeyError: 'role_setting'"),
+        ({**_ONE_VARIANT_RESULTS, "variants": [{**_ONE_VARIANT_RESULTS["variants"][0], "per_learner": {"L0": {}}}]},
+         "KeyError: 'Total'"),
+        ({**_ONE_VARIANT_RESULTS, "variants": _ONE_VARIANT_RESULTS["variants"] * 2}, "a variant name repeats"),
+        (None, "JSONDecodeError"),
+    ],
+    ids=["empty", "list", "unknown-baseline", "config-without-role_setting", "no-total", "repeated-name", "not-json"],
+)
+def test_report_on_malformed_results_exits_2_and_writes_nothing(tmp_path, capsys, payload, message):
+    path = tmp_path / "results.json"
+    path.write_text("{nope" if payload is None else json.dumps(payload), "utf-8")
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
 
 
 @pytest.mark.parametrize(

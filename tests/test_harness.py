@@ -281,7 +281,7 @@ class TestSuite:
 
     def test_suite_writes_reports_in_config_order(self, tmp_path):
         suite = run_suite(self._tiny_configs(), small_corpus(), out_dir=tmp_path)
-        assert suite.table.variants == ("baseline", "solo", "gp-global")
+        assert list(suite.table) == ["baseline", "solo", "gp-global"]
         lines = (tmp_path / "category_table.csv").read_text("utf-8").strip().splitlines()
         assert [ln.split(",")[0] for ln in lines[1:]] == (
             ["baseline"] * 4 + ["solo"] * 4 + ["gp-global"] * 4
@@ -329,25 +329,36 @@ class TestSuite:
         assert info.value.args[0].startswith("variant 'baseline': ")
         assert info.value.object == b"\xff"
 
-    def test_rerender_matches_original(self, tmp_path):
+    def test_report_line_endings(self, tmp_path):
         run_suite(self._tiny_configs(), small_corpus(), out_dir=tmp_path)
-        before = {p.name: p.read_bytes() for p in tmp_path.glob("*_table.*")}
-        rerender_reports(tmp_path)
-        after = {p.name: p.read_bytes() for p in tmp_path.glob("*_table.*")}
-        assert before == after
+        for name in ("category_table.txt", "component_table.txt"):
+            text = (tmp_path / name).read_bytes()
+            assert b"\r" not in text and text.endswith(b"\n")
+        for name in ("category_table.csv", "component_table.csv"):
+            lines = (tmp_path / name).read_bytes().split(b"\n")
+            assert lines[-1] == b"" and all(line.endswith(b"\r") for line in lines[:-1])
+
+    def test_rerender_matches_original(self, tmp_path):
+        run_suite(self._tiny_configs(), small_corpus(), out_dir=tmp_path / "suite")
+        (tmp_path / "copy").mkdir()
+        (tmp_path / "copy" / "results.json").write_bytes((tmp_path / "suite" / "results.json").read_bytes())
+        rerender_reports(tmp_path / "copy")  # from results.json alone, into a directory without reports
+        before = {p.name: p.read_bytes() for p in (tmp_path / "suite").glob("*_table.*")}
+        after = {p.name: p.read_bytes() for p in (tmp_path / "copy").glob("*_table.*")}
+        assert len(before) == 4 and before == after
 
 
 def test_default_suite_configs_match_component_matrix():
     configs = default_suite_configs(seed=1)
-    flags = [cfg.component_flags() for cfg in configs]
-    assert flags == [
-        ("baseline", False, False, False, False),
-        ("solo", True, False, False, False),
-        ("random-pair", True, True, False, False),
-        ("gp-global", True, True, True, True),
-        ("gp-local", True, True, True, True),
-        ("nn-global", True, True, False, True),
-        ("nn-local", True, True, False, True),
+    components = [(cfg.name, cfg.role_setting, cfg.co_learning, cfg.regressor, cfg.pareto) for cfg in configs]
+    assert components == [
+        ("baseline", False, False, "none", "none"),
+        ("solo", True, False, "none", "none"),
+        ("random-pair", True, True, "none", "none"),
+        ("gp-global", True, True, "gp", "global"),
+        ("gp-local", True, True, "gp", "local"),
+        ("nn-global", True, True, "nn", "global"),
+        ("nn-local", True, True, "nn", "local"),
     ]
     for cfg in configs:
         cfg.validate()

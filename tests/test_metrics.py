@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from peermatch.metrics import (
     MetricsError,
-    build_table,
     compute_metrics,
     format_gain_cell,
     gain_report,
@@ -75,7 +74,7 @@ class TestGainCell:
 
 
 def _table(rows):
-    return build_table([(name, compute_metrics(_per_learner(vals))) for name, vals in rows])
+    return {name: compute_metrics(_per_learner(vals)) for name, vals in rows}
 
 
 def test_gain_report_rows_in_order():
@@ -98,7 +97,7 @@ def _full_table():
         "L0": {c: 0.2 for c in cats},
         "L1": {c: 0.4 for c in cats},
     }
-    return build_table([("baseline", compute_metrics(per_learner))])
+    return {"baseline": compute_metrics(per_learner)}
 
 
 def test_category_table_csv_shape(tmp_path):
