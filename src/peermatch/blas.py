@@ -1,11 +1,19 @@
-"""Run numerical work with the bundled OpenBLAS builds at one thread.
+"""NumPy's bundled OpenBLAS: one-thread runs and the GP's three LAPACK solves.
 
-NumPy and SciPy wheels each bundle an OpenBLAS build. With two or more
-threads those builds split their sums differently, so the last digits of a
-GP fit would depend on ``OPENBLAS_NUM_THREADS``. ``one_blas_thread`` sets
-both builds to one thread and restores their previous counts on exit. A
-build that is missing, or that exports no thread controls (another BLAS,
-another packaging), is left alone.
+NumPy wheels bundle an ILP64 OpenBLAS build. With two or more threads it
+splits its sums differently, so the last digits of a GP fit would depend on
+``OPENBLAS_NUM_THREADS``. ``one_blas_thread`` sets it to one thread and
+restores the previous count on exit.
+
+This module also owns the GP's three LAPACK calls, bound with ctypes to the
+LAPACKE routines of that same build: ``cho_solve`` (``dpotrs``), ``dpotri``
+and ``solve_lower`` (``dtrtrs``). Each gives the bits of the SciPy routine it
+stands for, in the layout SciPy itself reaches. Where NumPy bundles no such
+library, or it lacks a routine (a conda/MKL, Accelerate or distro NumPy),
+they import that SciPy routine instead. Only then is SciPy's bundled OpenBLAS
+pinned to one thread too; otherwise neither SciPy nor its build is loaded. A
+build that exports no thread controls is left alone. Libraries are opened on
+first use, never at import.
 """
 
 from __future__ import annotations
@@ -17,44 +25,155 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator
 
+import numpy as np
+
 # (package, library file pattern beside the package, symbol suffix)
-_BUNDLED_OPENBLAS = (
-    ("numpy", "numpy.libs/libscipy_openblas64_*.so", "64_"),
-    ("scipy", "scipy.libs/libscipy_openblas-*.so", ""),
-)
+_NUMPY_OPENBLAS = ("numpy", "numpy.libs/libscipy_openblas64_*.so", "64_")
+_SCIPY_OPENBLAS = ("scipy", "scipy.libs/libscipy_openblas-*.so", "")
+
+_COL_MAJOR = 102  # LAPACKE matrix_layout
 
 
 @functools.cache
-def _thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """The (get, set) thread-count functions of every bundled OpenBLAS found."""
-    controls = []
-    for package, pattern, suffix in _BUNDLED_OPENBLAS:
-        spec = importlib.util.find_spec(package)
-        if spec is None or not spec.submodule_search_locations:
+def _libraries(build: tuple[str, str, str]) -> tuple[ctypes.CDLL, ...]:
+    """Every library file of a bundled OpenBLAS build that loads, found without importing its package."""
+    package, pattern, _ = build
+    spec = importlib.util.find_spec(package)
+    if spec is None or not spec.submodule_search_locations:
+        return ()
+    site = Path(next(iter(spec.submodule_search_locations))).parent
+    libs = []
+    for path in sorted(site.glob(pattern)):
+        try:
+            libs.append(ctypes.CDLL(str(path)))
+        except OSError:
             continue
-        site = Path(next(iter(spec.submodule_search_locations))).parent
-        for path in sorted(site.glob(pattern)):
-            try:
-                lib = ctypes.CDLL(str(path))
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            controls.append((get, set_))
+    return tuple(libs)
+
+
+@functools.cache
+def _thread_controls(build: tuple[str, str, str]) -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """The (get, set) thread-count functions of a bundled OpenBLAS build."""
+    suffix = build[2]
+    controls = []
+    for lib in _libraries(build):
+        try:
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        controls.append((get, set_))
     return tuple(controls)
+
+
+# LAPACKE signatures in the ILP64 build: matrix_layout is a C int, chars are
+# single bytes, sizes and the returned info are 64-bit, matrices are pointers
+_LAPACKE_ARGTYPES = {
+    "dpotrs": (ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_int64,
+               ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64),
+    "dpotri": (ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64),
+    "dtrtrs": (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char, ctypes.c_int64, ctypes.c_int64,
+               ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64),
+}
+
+
+@functools.cache
+def _lapack() -> dict[str, Callable[..., int]] | None:
+    """NumPy's bundled LAPACKE dpotrs, dpotri and dtrtrs, or None where any is missing."""
+    suffix = _NUMPY_OPENBLAS[2]
+    for lib in _libraries(_NUMPY_OPENBLAS):
+        try:
+            routines = {name: getattr(lib, f"scipy_LAPACKE_{name}{suffix}") for name in _LAPACKE_ARGTYPES}
+        except AttributeError:
+            continue
+        for name, routine in routines.items():
+            routine.argtypes, routine.restype = _LAPACKE_ARGTYPES[name], ctypes.c_int64
+        return routines
+    return None
+
+
+def _square(a: np.ndarray) -> int:
+    """The order n of a non-empty n x n matrix a; raises on any other shape."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
+    return a.shape[0]
+
+
+def _rhs(b: np.ndarray, n: int) -> np.ndarray:
+    """A finite float64 copy of the right-hand side b, a vector of length n."""
+    x = np.array(np.asarray_chkfinite(b, dtype=np.float64))
+    if x.shape != (n,):
+        raise ValueError(f"right-hand side has shape {x.shape}, expected ({n},)")
+    return x
+
+
+def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L L^T x = b, for a lower Cholesky factor L; SciPy's ``cho_solve((L, True), b)``."""
+    lapack = _lapack()
+    if lapack is None:
+        from scipy.linalg import cho_solve
+
+        return cho_solve((L, True), b)
+    a = np.asarray_chkfinite(L, dtype=np.float64, order="F")
+    n = _square(a)
+    x = _rhs(b, n)
+    info = lapack["dpotrs"](_COL_MAJOR, b"L", n, 1, a.ctypes.data, n, x.ctypes.data, n)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+def dpotri(L: np.ndarray) -> tuple[np.ndarray, int]:
+    """(K^-1, info) from the lower Cholesky factor L of K; SciPy's ``dpotri(L, lower=1)``.
+
+    Only the lower triangle of the returned Fortran-ordered matrix is K^-1;
+    the upper one is L's. A non-zero info means the inverse failed.
+    """
+    lapack = _lapack()
+    if lapack is None:
+        from scipy.linalg.lapack import dpotri
+
+        return dpotri(L, lower=1)
+    inv = np.array(L, dtype=np.float64, order="F")
+    n = _square(inv)
+    return inv, lapack["dpotri"](_COL_MAJOR, b"L", n, inv.ctypes.data, n)
+
+
+def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L x = b, for a lower-triangular L; SciPy's ``solve_triangular(L, b, lower=True)``.
+
+    The C-ordered L is read in column-major order as its upper-triangular
+    transpose, and solved transposed, as SciPy does.
+    """
+    lapack = _lapack()
+    if lapack is None:
+        from scipy.linalg import solve_triangular
+
+        return solve_triangular(L, b, lower=True)
+    a = np.asarray_chkfinite(L, dtype=np.float64, order="C")
+    n = _square(a)
+    x = _rhs(b, n)
+    info = lapack["dtrtrs"](_COL_MAJOR, b"U", b"T", b"N", n, 1, a.ctypes.data, n, x.ctypes.data, n)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal trtrs")
+    return x
 
 
 @contextmanager
 def one_blas_thread() -> Iterator[None]:
-    """Context manager and decorator: every bundled OpenBLAS at one thread inside."""
+    """Context manager and decorator: every OpenBLAS build the GP may call at one thread inside."""
+    builds = (_NUMPY_OPENBLAS,) if _lapack() is not None else (_NUMPY_OPENBLAS, _SCIPY_OPENBLAS)
     restore = []
-    for get, set_ in _thread_controls():
-        previous = get()
-        if previous != 1:
-            set_(1)
-            restore.append((set_, previous))
+    for build in builds:
+        for get, set_ in _thread_controls(build):
+            previous = get()
+            if previous != 1:
+                set_(1)
+                restore.append((set_, previous))
     try:
         yield
     finally:

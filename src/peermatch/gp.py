@@ -23,7 +23,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .blas import one_blas_thread
+from .blas import cho_solve, dpotri, one_blas_thread, solve_lower
 from .writer import write_file
 
 SNAPSHOT_FORMAT = "gp-snapshot/1"
@@ -122,9 +122,7 @@ def _factor(K: np.ndarray, y: np.ndarray, ladder: tuple[float, ...] = JITTER_LAD
             continue
     else:
         raise SingularMatrixError(f"covariance not positive definite even with jitter {ladder[-1]!r}")
-    from scipy.linalg import cho_solve  # here so that importing peermatch does not load SciPy
-
-    alpha = cho_solve((L, True), y)
+    alpha = cho_solve(L, y)
     mll = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
     return L, jitter, alpha, mll
 
@@ -160,9 +158,7 @@ def _gradient(D2: np.ndarray, params: KernelParams, Krbf: np.ndarray, L: np.ndar
     from the lower triangle T as 2 sum(T * M) - trace(T * M), and the
     alpha^T M alpha terms are matrix-vector products.
     """
-    from scipy.linalg.lapack import dpotri  # here so that importing peermatch does not load SciPy
-
-    Kinv_lower, info = dpotri(L, lower=1)
+    Kinv_lower, info = dpotri(L)
     if info != 0:
         raise SingularMatrixError(f"dpotri could not invert the covariance factor (info={info})")
     Kinv_diag = np.diag(Kinv_lower)
@@ -231,8 +227,6 @@ class FittedGp:
         k(x*, x*) - k*^T (K + noise I)^-1 k* + noise, computed through the
         cached triangular factor.
         """
-        from scipy.linalg import solve_triangular  # here so that importing peermatch does not load SciPy
-
         x_star = np.asarray(x_star, dtype=np.float64)
         if x_star.shape != (self.X.shape[1],):
             raise ValueError(f"query has shape {x_star.shape}, expected ({self.X.shape[1]},)")
@@ -240,7 +234,7 @@ class FittedGp:
         d2 = np.sum((self.X - x_star) ** 2, axis=1)
         k_star = p.signal_variance * np.exp(-d2 / (2.0 * p.lengthscale**2))
         mean = float(k_star @ self.alpha)
-        v = solve_triangular(self.L, k_star, lower=True)
+        v = solve_lower(self.L, k_star)
         variance = float(p.signal_variance - v @ v + p.noise_variance)
         return Prediction(mean=mean, variance=variance)
 
