@@ -11,9 +11,11 @@ and ``solve_lower`` (``dtrtrs``). Each gives the bits of the SciPy routine it
 stands for, in the layout SciPy itself reaches. Where NumPy bundles no such
 library, or it lacks a routine (a conda/MKL, Accelerate or distro NumPy),
 they import that SciPy routine instead. Only then is SciPy's bundled OpenBLAS
-pinned to one thread too; otherwise neither SciPy nor its build is loaded. A
-build that exports no thread controls is left alone. Libraries are opened on
-first use, never at import.
+pinned to one thread too; otherwise neither SciPy nor its build is loaded.
+``lapack_available`` says whether either path exists, so that a run can stop
+before its first backend call where neither does. A build that exports no
+thread controls is left alone. Libraries are opened on first use, never at
+import.
 """
 
 from __future__ import annotations
@@ -92,6 +94,11 @@ def _lapack() -> dict[str, Callable[..., int]] | None:
             routine.argtypes, routine.restype = _LAPACKE_ARGTYPES[name], ctypes.c_int64
         return routines
     return None
+
+
+def lapack_available() -> bool:
+    """Whether the three solves can run: through NumPy's bundled LAPACKE, or an installed SciPy."""
+    return _lapack() is not None or importlib.util.find_spec("scipy") is not None
 
 
 def _square(a: np.ndarray) -> int:

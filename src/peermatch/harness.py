@@ -28,6 +28,7 @@ from .backends import (
     MockBackend,
     mock_correct_label,
 )
+from .blas import lapack_available
 from .corpus import Exercise, ExerciseBlock, group_by_domain, make_synthetic_corpus
 from .features import EmbeddingProvider, HashingEmbedder, ScoreIndex, build_dataset, dataset_arrays, index_scores
 from .gp import GpFitConfig, GpRegressor
@@ -143,6 +144,11 @@ class VariantConfig:
             raise ConfigError(f"{self.name}: a regressor requires a pareto mode")
         if self.regressor != "none" and not self.train_domains:
             raise ConfigError(f"{self.name}: a regressor requires train_domains")
+        if self.regressor == "gp" and not lapack_available():
+            raise ConfigError(
+                f"{self.name}: the gp regressor needs SciPy where NumPy bundles no OpenBLAS with LAPACKE "
+                "dpotrs, dpotri and dtrtrs; install scipy"
+            )
         if self.selection_rule not in ("mean", "poi"):
             raise ConfigError(f"{self.name}: unknown selection rule {self.selection_rule!r}")
         if self.gain_baseline not in ("self", "partner"):

@@ -1,5 +1,6 @@
 """The LAPACKE bindings of NumPy's bundled OpenBLAS, their SciPy fallback, and a SciPy-free runtime."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from peermatch import blas, gp
+from peermatch import blas, cli, gp
+from peermatch.backends import MockBackend
 from peermatch.gp import GpFitConfig, KernelParams, covariance_matrix, fit_gp
+from peermatch.harness import VariantConfig
 
 needs_bindings = pytest.mark.skipif(
     blas._lapack() is None, reason="NumPy bundles no OpenBLAS that exports LAPACKE dpotrs, dpotri and dtrtrs"
@@ -144,8 +147,8 @@ def _run(code: str, tmp_path) -> subprocess.CompletedProcess:
     )
 
 
-@needs_bindings
-def test_suite_runs_with_scipy_refused(tmp_path):
+def _suite_config(tmp_path) -> Path:
+    """A suite file with a baseline and one GP variant."""
     config = tmp_path / "suite.json"
     config.write_text(json.dumps({
         "corpus": "synthetic",
@@ -156,6 +159,33 @@ def test_suite_runs_with_scipy_refused(tmp_path):
             {"name": "gp-global", "role_setting": True, "co_learning": True, "regressor": "gp", "pareto": "global"},
         ],
     }), "utf-8")
+    return config
+
+
+def test_gp_suite_without_bindings_or_scipy_stops_before_any_backend_call(monkeypatch, tmp_path, capsys):
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(blas, "_lapack", lambda: None)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: None if name == "scipy" else find_spec(name, *args))
+    calls = []
+    monkeypatch.setattr(MockBackend, "complete", lambda self, prompt, params: calls.append(prompt))
+    assert not blas.lapack_available()
+    out = tmp_path / "out"
+    assert cli.main(["suite", "--config", str(_suite_config(tmp_path)), "--out", str(out)]) == 2
+    assert "gp-global: the gp regressor needs SciPy" in capsys.readouterr().err
+    assert calls == [] and not list(out.rglob("*.*"))
+    # the check concerns the gp regressor only
+    VariantConfig("nn-global", True, True, regressor="nn", pareto="global", train_domains=["number_theory"]).validate()
+
+
+def test_scipy_alone_serves_the_solves(monkeypatch):
+    pytest.importorskip("scipy")
+    monkeypatch.setattr(blas, "_lapack", lambda: None)
+    assert blas.lapack_available()
+
+
+@needs_bindings
+def test_suite_runs_with_scipy_refused(tmp_path):
+    config = _suite_config(tmp_path)
     code = _REFUSE_SCIPY + f"""
 from peermatch import cli, harness
 from peermatch.gp import GpFitConfig
