@@ -10,7 +10,7 @@ reproducible experiment harness.
 from .backends import CachingBackend, DecodeParams, HttpBackend, LiveConfig, MockBackend
 from .corpus import Exercise, ExerciseBlock, group_by_domain, load_corpus
 from .features import HashingEmbedder, build_dataset, index_scores, pair_gain
-from .gp import FittedGp, GpFitConfig, GpRegressor, KernelParams, fit_gp
+from .gp import FittedGp, GpFitConfig, GpRegressor, KernelParams
 from .harness import VariantConfig, default_suite_configs, default_synthetic_corpus, run_suite, run_variant
 from .nn import MlpConfig, MlpRegressor
 from .pareto import ScoreVector, dominates, pareto_front, rank_candidates
@@ -23,7 +23,7 @@ __all__ = [
     "CachingBackend", "DecodeParams", "HttpBackend", "LiveConfig", "MockBackend",
     "Exercise", "ExerciseBlock", "group_by_domain", "load_corpus",
     "HashingEmbedder", "build_dataset", "index_scores", "pair_gain",
-    "FittedGp", "GpFitConfig", "GpRegressor", "KernelParams", "fit_gp",
+    "FittedGp", "GpFitConfig", "GpRegressor", "KernelParams",
     "VariantConfig", "default_suite_configs", "default_synthetic_corpus", "run_suite", "run_variant",
     "MlpConfig", "MlpRegressor",
     "ScoreVector", "dominates", "pareto_front", "rank_candidates",

@@ -30,21 +30,23 @@ class TransportError(RuntimeError):
         self.step = step
 
 
+# every call decodes greedily with the same reply budget
+TEMPERATURE = 0.0
+MAX_TOKENS = 256
+
+
 @dataclass(frozen=True)
 class DecodeParams:
-    """Decode settings recorded with every transcript entry.
+    """Decode settings of one call; only the seed varies.
 
-    ``temperature=0.0`` means greedy decoding on live backends. ``seed``
-    names the sampling stream; the mock folds it into its draws so repeated
-    runs can be decorrelated on purpose (e.g. difficulty profiling).
+    ``seed`` names the sampling stream; the mock folds it into its draws so
+    repeated runs can be decorrelated on purpose (e.g. difficulty profiling).
     """
 
-    temperature: float = 0.0
-    max_tokens: int = 256
     seed: int | None = None
 
     def cache_key(self) -> str:
-        return f"t={self.temperature!r}|n={self.max_tokens}|s={self.seed}"
+        return f"t={TEMPERATURE!r}|n={MAX_TOKENS}|s={self.seed}"
 
 
 class CompletionBackend(Protocol):
@@ -230,8 +232,8 @@ class HttpBackend:
         payload = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": params.temperature,
-            "max_tokens": params.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         if params.seed is not None:
             payload["seed"] = params.seed

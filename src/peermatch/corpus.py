@@ -85,7 +85,7 @@ def category_for_domain(domain: str) -> str:
 
 
 def _read_rows(path: Path, domain_from_name: str | None) -> list[tuple[str, dict]]:
-    with open(path, encoding="utf-8", newline="") as f:
+    with open(path, encoding="utf-8-sig", newline="") as f:
         reader = csv.DictReader(f)
         fields = reader.fieldnames or []
         required = ["id", "question", *OPTION_COLUMNS, "answer"]
@@ -114,7 +114,7 @@ def load_corpus(path: str | Path) -> list[Exercise]:
             raise CorpusError(f"{path}: no .csv files")
         batches = [(p, p.stem) for p in files]
     elif path.is_file():
-        with open(path, encoding="utf-8", newline="") as f:
+        with open(path, encoding="utf-8-sig", newline="") as f:
             header_fields = next(csv.reader(f), [])
         domain_from_name = None if "domain" in header_fields else path.stem
         batches = [(path, domain_from_name)]
@@ -213,14 +213,15 @@ def difficulty_profile(exercises: Sequence[Exercise], records, repeats: int) -> 
 def make_synthetic_corpus(
     domain_specs: Sequence[tuple[str, str, int]],
     seed: int = 0,
-    key_fn: Callable[[str, tuple[str, ...]], str] | None = None,
+    *,
+    key_fn: Callable[[str, tuple[str, ...]], str],
 ) -> list[Exercise]:
     """Generate a synthetic corpus for desk-scale experiments.
 
     ``domain_specs`` is a list of (domain, category, n). Option texts are
     distinctive phrases that never occur inside stems, so prompt-purity
-    scans cannot produce false positives. ``key_fn(stem, labels)`` lets the
-    caller plant answer keys that a scripted backend can re-derive.
+    scans cannot produce false positives. ``key_fn(stem, labels)`` plants each
+    answer key, so a scripted backend can re-derive it.
     """
     exercises: list[Exercise] = []
     for domain, category, n in domain_specs:
@@ -234,16 +235,12 @@ def make_synthetic_corpus(
                 f"claim {token[6:10]}-{j} about {domain.replace('_', ' ')}" for j in range(len(OPTION_COLUMNS))
             )
             labels = tuple(chr(ord("A") + j) for j in range(len(options)))
-            if key_fn is not None:
-                key = key_fn(stem, labels)
-            else:
-                key = labels[stable_u64("plainkey", str(seed), domain, str(i)) % len(labels)]
             exercises.append(
                 Exercise(
                     id=f"{domain}/{i}",
                     stem=stem,
                     options=options,
-                    key=key,
+                    key=key_fn(stem, labels),
                     domain=domain,
                     category=category,
                 )

@@ -1,14 +1,14 @@
 """Numeric features and gain labels for the collaboration-gain regressor.
 
-A training sample concatenates the anchoring learner's short vector, the
-partner's short vector, and the domain-block embedding; its label is the
-block-normalized difference between the paired score and the independent
-baseline score.
+A training sample, one row of the ``X`` that ``build_dataset`` returns,
+concatenates the anchoring learner's short vector, the partner's short
+vector, and the domain-block embedding. Its label, the matching entry of
+``y``, is the block-normalized difference between the paired score and the
+independent baseline score.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -73,18 +73,10 @@ def domain_vector(block: ExerciseBlock, emb: EmbeddingProvider) -> np.ndarray:
     return np.mean(rows, axis=0)
 
 
-def build_sample_vector(
-    learner: Learner,
-    partner: Learner,
-    block: ExerciseBlock,
-    emb: EmbeddingProvider,
-    domain_vec: np.ndarray | None = None,
-) -> np.ndarray:
-    """short(learner) + short(partner) + domain embedding, length 4 + dim."""
+def build_sample_vector(learner: Learner, partner: Learner, domain_vec: np.ndarray) -> np.ndarray:
+    """short(learner) + short(partner) + the block's ``domain_vector``, length 4 + dim."""
     if learner.id == partner.id:
         raise ValueError(f"learner {learner.id!r} cannot be its own partner")
-    if domain_vec is None:
-        domain_vec = domain_vector(block, emb)
     return np.concatenate(
         [learner_short_vector(learner.persona), learner_short_vector(partner.persona), domain_vec]
     )
@@ -140,27 +132,21 @@ def pair_gain(
     return (paired_sum - solo_sum) / len(block)
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One regression sample with its provenance."""
-
-    x: np.ndarray
-    y: float
-    learner_id: str
-    partner_id: str
-    domain: str
-
-
 def build_dataset(
     cohort: Mapping[str, Learner],
     blocks: Sequence[ExerciseBlock],
     scores: ScoreIndex,
     emb: EmbeddingProvider,
     baseline: str = "self",
-) -> list[Sample]:
-    """One sample per ordered learner pair per block, sorted by (learner, partner, domain)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample matrix X and gain labels y, one row per ordered learner pair per block.
+
+    Rows run in (learner, partner, domain) order, each sorted by id or name,
+    and learners are never paired with themselves.
+    """
     domain_vecs = {block.domain: domain_vector(block, emb) for block in blocks}
-    samples: list[Sample] = []
+    xs: list[np.ndarray] = []
+    ys: list[float] = []
     ids = sorted(cohort)
     for learner_id in ids:
         for partner_id in ids:
@@ -168,14 +154,6 @@ def build_dataset(
                 continue
             learner, partner = cohort[learner_id], cohort[partner_id]
             for block in sorted(blocks, key=lambda b: b.domain):
-                y = pair_gain(learner, partner, block, scores, baseline)
-                x = build_sample_vector(learner, partner, block, emb, domain_vecs[block.domain])
-                samples.append(Sample(x=x, y=y, learner_id=learner_id, partner_id=partner_id, domain=block.domain))
-    return samples
-
-
-def dataset_arrays(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    X = np.stack([s.x for s in samples])
-    y = np.array([s.y for s in samples])
-    return X, y
-
+                ys.append(pair_gain(learner, partner, block, scores, baseline))
+                xs.append(build_sample_vector(learner, partner, domain_vecs[block.domain]))
+    return np.stack(xs), np.array(ys)

@@ -303,50 +303,6 @@ def _ascend(D2, y, theta0, config: GpFitConfig):
 
 
 @one_blas_thread()
-def fit_gp(X: np.ndarray, y: np.ndarray, config: GpFitConfig = GpFitConfig()) -> FittedGp:
-    """Fit hyperparameters by maximum log marginal likelihood.
-
-    Runs ascent from the configured init plus ``restarts`` seeded draws and
-    keeps the run with the highest final objective.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise FitError(f"X must be non-empty 2-D, got shape {X.shape}")
-    if y.shape != (X.shape[0],):
-        raise FitError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise FitError("training data contains non-finite values")
-
-    D2 = pairwise_sqdist(X, X)
-    rng = np.random.default_rng(config.seed)
-    starts = [np.log(np.asarray(config.init, dtype=np.float64))]
-    for _ in range(config.restarts):
-        starts.append(rng.uniform(-2.0, 2.0, size=3))
-
-    best_value, best_theta, best_path = -np.inf, None, []
-    for theta0 in starts:
-        value, theta, path = _ascend(D2, y, theta0, config)
-        if value > best_value:
-            best_value, best_theta, best_path = value, theta, path
-    if best_theta is None or not math.isfinite(best_value):
-        raise FitError("all restarts diverged to a non-finite objective")
-
-    params = KernelParams.from_log_vector(best_theta)
-    L, jitter, alpha, _ = _factor(_add_to_diagonal(_kernel_matrix(D2, params), params.noise_variance), y)
-    return FittedGp(
-        X=X.copy(),
-        y=y.copy(),
-        params=params,
-        L=L,
-        alpha=alpha,
-        jitter=jitter,
-        mll=best_value,
-        trace=tuple(tuple(row) for row in best_path),
-    )
-
-
-@one_blas_thread()
 def load_model(path: str | Path) -> FittedGp:
     """Rebuild a saved snapshot, factoring at exactly its stored jitter."""
     payload = json.loads(Path(path).read_text("utf-8"))
@@ -365,5 +321,45 @@ class GpRegressor:
     def __init__(self, config: GpFitConfig = GpFitConfig()):
         self.config = config
 
+    @one_blas_thread()
     def fit(self, X: np.ndarray, y: np.ndarray) -> FittedGp:
-        return fit_gp(X, y, self.config)
+        """Fit hyperparameters by maximum log marginal likelihood.
+
+        Runs ascent from the configured init plus ``restarts`` seeded draws and
+        keeps the run with the highest final objective.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if X.ndim != 2 or X.shape[0] < 1:
+            raise FitError(f"X must be non-empty 2-D, got shape {X.shape}")
+        if y.shape != (X.shape[0],):
+            raise FitError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+            raise FitError("training data contains non-finite values")
+
+        D2 = pairwise_sqdist(X, X)
+        rng = np.random.default_rng(self.config.seed)
+        starts = [np.log(np.asarray(self.config.init, dtype=np.float64))]
+        for _ in range(self.config.restarts):
+            starts.append(rng.uniform(-2.0, 2.0, size=3))
+
+        best_value, best_theta, best_path = -np.inf, None, []
+        for theta0 in starts:
+            value, theta, path = _ascend(D2, y, theta0, self.config)
+            if value > best_value:
+                best_value, best_theta, best_path = value, theta, path
+        if best_theta is None or not math.isfinite(best_value):
+            raise FitError("all restarts diverged to a non-finite objective")
+
+        params = KernelParams.from_log_vector(best_theta)
+        L, jitter, alpha, _ = _factor(_add_to_diagonal(_kernel_matrix(D2, params), params.noise_variance), y)
+        return FittedGp(
+            X=X.copy(),
+            y=y.copy(),
+            params=params,
+            L=L,
+            alpha=alpha,
+            jitter=jitter,
+            mll=best_value,
+            trace=tuple(tuple(row) for row in best_path),
+        )

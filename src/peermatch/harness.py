@@ -30,7 +30,7 @@ from .backends import (
 )
 from .blas import lapack_available
 from .corpus import Exercise, ExerciseBlock, group_by_domain, make_synthetic_corpus
-from .features import EmbeddingProvider, HashingEmbedder, ScoreIndex, build_dataset, dataset_arrays, index_scores
+from .features import EmbeddingProvider, HashingEmbedder, ScoreIndex, build_dataset, index_scores
 from .gp import GpFitConfig, GpRegressor
 from .hashing import stable_u64
 from .metrics import (
@@ -445,7 +445,7 @@ def run_variant(
         scores = index_scores(solo + train_paired)
 
         def dataset() -> tuple[np.ndarray, np.ndarray]:
-            X, y = dataset_arrays(build_dataset(cohort, train_blocks, scores, work.embedder, cfg.gain_baseline))
+            X, y = build_dataset(cohort, train_blocks, scores, work.embedder, cfg.gain_baseline)
             return _read_only(X), _read_only(y)
 
         dataset_key = ("dataset", backend.name, cfg.train_domains, cfg.gain_baseline)

@@ -55,46 +55,42 @@ class FittedMlp:
         write_file(path, json.dumps(payload))
 
 
-@one_blas_thread()
-def fit_mlp(X: np.ndarray, y: np.ndarray, config: MlpConfig = MlpConfig()) -> FittedMlp:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise FitError(f"X must be non-empty 2-D, got shape {X.shape}")
-    if y.shape != (X.shape[0],):
-        raise FitError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
-    n, d = X.shape
-    rng = np.random.default_rng(config.seed)
-    W1 = rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, config.hidden))
-    b1 = np.zeros(config.hidden)
-    w2 = rng.normal(0.0, 1.0 / math.sqrt(config.hidden), size=config.hidden)
-    b2 = 0.0
-    lr = config.learning_rate
-    loss = math.inf
-    for _ in range(config.iters):
-        H = np.tanh(X @ W1 + b1)
-        pred = H @ w2 + b2
-        resid = pred - y
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss = float(np.mean(resid**2))
-        if not math.isfinite(loss):
-            raise FitError("training loss became non-finite")
-        d_pred = (2.0 / n) * resid
-        grad_w2 = H.T @ d_pred
-        grad_b2 = float(d_pred.sum())
-        dH = np.outer(d_pred, w2) * (1.0 - H**2)
-        grad_W1 = X.T @ dH
-        grad_b1 = dH.sum(axis=0)
-        W1 -= lr * grad_W1
-        b1 -= lr * grad_b1
-        w2 -= lr * grad_w2
-        b2 -= lr * grad_b2
-    return FittedMlp(W1=W1, b1=b1, w2=w2, b2=b2, final_loss=loss)
-
-
 class MlpRegressor:
     def __init__(self, config: MlpConfig = MlpConfig()):
         self.config = config
 
+    @one_blas_thread()
     def fit(self, X: np.ndarray, y: np.ndarray) -> FittedMlp:
-        return fit_mlp(X, y, self.config)
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if X.ndim != 2 or X.shape[0] < 1:
+            raise FitError(f"X must be non-empty 2-D, got shape {X.shape}")
+        if y.shape != (X.shape[0],):
+            raise FitError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+        n, d = X.shape
+        rng = np.random.default_rng(self.config.seed)
+        W1 = rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, self.config.hidden))
+        b1 = np.zeros(self.config.hidden)
+        w2 = rng.normal(0.0, 1.0 / math.sqrt(self.config.hidden), size=self.config.hidden)
+        b2 = 0.0
+        lr = self.config.learning_rate
+        loss = math.inf
+        for _ in range(self.config.iters):
+            H = np.tanh(X @ W1 + b1)
+            pred = H @ w2 + b2
+            resid = pred - y
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = float(np.mean(resid**2))
+            if not math.isfinite(loss):
+                raise FitError("training loss became non-finite")
+            d_pred = (2.0 / n) * resid
+            grad_w2 = H.T @ d_pred
+            grad_b2 = float(d_pred.sum())
+            dH = np.outer(d_pred, w2) * (1.0 - H**2)
+            grad_W1 = X.T @ dH
+            grad_b1 = dH.sum(axis=0)
+            W1 -= lr * grad_W1
+            b1 -= lr * grad_b1
+            w2 -= lr * grad_w2
+            b2 -= lr * grad_b2
+        return FittedMlp(W1=W1, b1=b1, w2=w2, b2=b2, final_loss=loss)

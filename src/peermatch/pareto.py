@@ -166,7 +166,7 @@ def rank_candidates(
     scored = []
     for member in front.members:
         candidate = cohort[member.learner_id]
-        pred = regressor.predict(build_sample_vector(learner, candidate, block, emb, dvec))
+        pred = regressor.predict(build_sample_vector(learner, candidate, dvec))
         if rule == "mean":
             value = pred.mean
         else:

@@ -17,7 +17,7 @@ import pytest
 
 from peermatch.cli import main as cli_main
 from peermatch.corpus import fixture_corpus_path, group_by_domain, load_corpus
-from peermatch.gp import GpFitConfig, KernelParams, covariance_matrix, fit_gp, log_marginal_likelihood, mll_gradient
+from peermatch.gp import GpFitConfig, GpRegressor, KernelParams, covariance_matrix, log_marginal_likelihood, mll_gradient
 from peermatch.harness import default_suite_configs, default_synthetic_corpus, run_suite
 from peermatch.metrics import CATEGORY_ORDER, format_gain_cell
 from peermatch.pareto import ScoreVector, dominates, pareto_front
@@ -110,7 +110,7 @@ def test_criterion_3_gp_recovery():
             noise_free = covariance_matrix(X, truth) - truth.noise_variance * np.eye(40)
             f = np.linalg.cholesky(noise_free + 1e-10 * np.eye(40)) @ rng.standard_normal(40)
             y = f + rng.normal(0.0, math.sqrt(truth.noise_variance), size=40)
-            model = fit_gp(X, y, GpFitConfig(seed=seed))
+            model = GpRegressor(GpFitConfig(seed=seed)).fit(X, y)
             err = np.abs(model.params.log_vector() / math.log(10.0) - truth_log10)
             hits += bool(np.all(err <= 0.5))
         assert hits >= 18, f"only {hits}/20 recoveries within tolerance"

@@ -161,13 +161,29 @@ def test_http_backend_success(monkeypatch):
     monkeypatch.setenv("PEERMATCH_API_TOKEN", "sekrit")
     monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     backend = HttpBackend(LiveConfig(base_url="http://llm.internal/v1", model="tutor-32b", timeout_s=9.0))
-    reply = backend.complete("what is up", DecodeParams(temperature=0.0, seed=4))
+    reply = backend.complete("what is up", DecodeParams(seed=4))
     assert reply == "Answer: C"
     assert captured["url"] == "http://llm.internal/v1/chat/completions"
     assert captured["timeout"] == 9.0
     assert captured["auth"] == "Bearer sekrit"
     assert captured["payload"]["model"] == "tutor-32b"
     assert captured["payload"]["seed"] == 4
+
+
+def test_decoding_is_greedy_with_256_tokens(monkeypatch):
+    # mock draws, memo keys and cache paths hash the cache key text
+    assert DecodeParams(seed=7).cache_key() == "t=0.0|n=256|s=7"
+    assert DecodeParams().cache_key() == "t=0.0|n=256|s=None"
+    sent = []
+
+    def fake_urlopen(request, timeout):
+        sent.append(request.data)
+        return _FakeResponse(b'{"choices": [{"message": {"content": "Answer: A"}}]}')
+
+    monkeypatch.setenv("PEERMATCH_API_TOKEN", "t")
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    HttpBackend(LiveConfig(base_url="http://x", model="m")).complete("hi", DecodeParams(seed=7))
+    assert b'"temperature": 0.0, "max_tokens": 256, "seed": 7}' in sent[0]
 
 
 def test_http_backend_missing_token(monkeypatch):

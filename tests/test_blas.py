@@ -12,7 +12,7 @@ import pytest
 
 from peermatch import blas, cli, gp
 from peermatch.backends import MockBackend
-from peermatch.gp import GpFitConfig, KernelParams, covariance_matrix, fit_gp
+from peermatch.gp import GpFitConfig, GpRegressor, KernelParams, covariance_matrix
 from peermatch.harness import VariantConfig
 
 needs_bindings = pytest.mark.skipif(
@@ -92,11 +92,11 @@ def test_fallback_through_scipy_gives_the_same_bits(monkeypatch):
     y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(30)
     queries = rng.standard_normal((5, 3))
     config = GpFitConfig(restarts=1, max_iters=40)
-    model = fit_gp(X, y, config)
+    model = GpRegressor(config).fit(X, y)
 
     monkeypatch.setattr(blas, "_lapack", lambda: None)
     calls = _spy_on_scipy(monkeypatch)
-    fallback = fit_gp(X, y, config)
+    fallback = GpRegressor(config).fit(X, y)
     assert fallback.params == model.params and fallback.mll == model.mll and fallback.trace == model.trace
     assert np.array_equal(fallback.L, model.L) and np.array_equal(fallback.alpha, model.alpha)
     assert [fallback.predict(x) for x in queries] == [model.predict(x) for x in queries]
@@ -203,10 +203,10 @@ def test_import_fit_and_predict_load_no_scipy(tmp_path):
 import sys
 import numpy as np
 import peermatch.cli
-from peermatch.gp import fit_gp
+from peermatch.gp import GpRegressor
 
 rng = np.random.default_rng(0)
-model = fit_gp(rng.standard_normal((12, 2)), rng.standard_normal(12))
+model = GpRegressor().fit(rng.standard_normal((12, 2)), rng.standard_normal(12))
 model.predict(np.zeros(2))
 maps = open("/proc/self/maps").read() if sys.platform == "linux" else ""
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), "scipy.libs" in maps)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from peermatch.backends import mock_correct_label
 from peermatch.corpus import (
     CorpusError,
     DifficultyProfile,
@@ -106,10 +107,21 @@ def test_round_trip_consolidated(tmp_path):
     save_corpus(original, tmp_path / "store.csv")
     again = load_corpus(tmp_path / "store.csv")
     assert again == original
+    assert not (tmp_path / "store.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+
+
+def test_byte_order_mark_is_accepted(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark
+    plain = fixture_corpus_path() / "arts.csv"
+    (tmp_path / "dir").mkdir()
+    marked = tmp_path / "dir" / "arts.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_corpus(marked) == load_corpus(plain)
+    assert load_corpus(tmp_path / "dir") == load_corpus(plain)
 
 
 def test_group_by_domain_partition():
-    exercises = make_synthetic_corpus([("a", "STEM", 3), ("b", "Humanities", 2)], seed=1)
+    exercises = make_synthetic_corpus([("a", "STEM", 3), ("b", "Humanities", 2)], seed=1, key_fn=mock_correct_label)
     blocks = group_by_domain(exercises)
     assert [b.domain for b in blocks] == ["a", "b"]
     assert sum(len(b) for b in blocks) == len(exercises)
@@ -138,7 +150,7 @@ def _records(exercise_id, outcomes):
 
 
 def test_difficulty_profile_means():
-    exercises = make_synthetic_corpus([("a", "STEM", 2)], seed=0)
+    exercises = make_synthetic_corpus([("a", "STEM", 2)], seed=0, key_fn=mock_correct_label)
     records = _records("a/0", [1, 1, 1, 1, 1, 1, 0, 0, 0, 0]) + _records("a/1", [1] * 10)
     profile = difficulty_profile(exercises, records, repeats=10)
     assert profile.means["a/0"] == pytest.approx(0.6)
@@ -146,7 +158,7 @@ def test_difficulty_profile_means():
 
 
 def test_difficulty_profile_rejects_mismatch():
-    exercises = make_synthetic_corpus([("a", "STEM", 1)], seed=0)
+    exercises = make_synthetic_corpus([("a", "STEM", 1)], seed=0, key_fn=mock_correct_label)
     with pytest.raises(CorpusError, match="a/0"):
         difficulty_profile(exercises, _records("a/0", [1, 0]), repeats=3)
 
@@ -160,7 +172,7 @@ def test_difficulty_profile_rejects_empty():
 
 def test_share_below_constructed_to_17_2_percent():
     # 250 exercises, 43 profiled below the 0.6 mark: 43/250 = 0.172 exactly.
-    exercises = make_synthetic_corpus([("a", "STEM", 250)], seed=0)
+    exercises = make_synthetic_corpus([("a", "STEM", 250)], seed=0, key_fn=mock_correct_label)
     records = []
     for i, e in enumerate(exercises):
         outcomes = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0] if i < 43 else [1] * 8 + [0, 0]
@@ -170,7 +182,7 @@ def test_share_below_constructed_to_17_2_percent():
 
 
 def test_profile_bounds_and_export(tmp_path):
-    exercises = make_synthetic_corpus([("a", "STEM", 4)], seed=0)
+    exercises = make_synthetic_corpus([("a", "STEM", 4)], seed=0, key_fn=mock_correct_label)
     records = [r for e in exercises for r in _records(e.id, [1, 0, 1])]
     profile = difficulty_profile(exercises, records, repeats=3)
     assert all(0.0 <= m <= 1.0 for m in profile.means.values())

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from peermatch.backends import mock_correct_label
 from peermatch.corpus import ExerciseBlock, make_synthetic_corpus
 from peermatch.features import (
     CoverageError,
@@ -20,7 +21,8 @@ from peermatch.protocol import ResponseRecord
 
 
 def _block(domain="blk", n=4):
-    return ExerciseBlock(domain=domain, exercises=tuple(make_synthetic_corpus([(domain, "STEM", n)], seed=3)))
+    exercises = make_synthetic_corpus([(domain, "STEM", n)], seed=3, key_fn=mock_correct_label)
+    return ExerciseBlock(domain=domain, exercises=tuple(exercises))
 
 
 def _solo(learner_id, block, outcomes):
@@ -86,28 +88,27 @@ class TestDomainVector:
 class TestSampleVector:
     def test_shape_is_4_plus_dim(self, learner, partner):
         emb = HashingEmbedder()
-        vec = build_sample_vector(learner, partner, _block(), emb)
+        vec = build_sample_vector(learner, partner, domain_vector(_block(), emb))
         assert vec.shape == (36,)
 
     def test_swap_permutes_short_parts_only(self, learner, partner):
         emb = HashingEmbedder()
-        block = _block()
-        ab = build_sample_vector(learner, partner, block, emb)
-        ba = build_sample_vector(partner, learner, block, emb)
+        dvec = domain_vector(_block(), emb)
+        ab = build_sample_vector(learner, partner, dvec)
+        ba = build_sample_vector(partner, learner, dvec)
         assert np.allclose(ab[:2], ba[2:4])
         assert np.allclose(ab[2:4], ba[:2])
         assert np.allclose(ab[4:], ba[4:])
 
     def test_self_pair_rejected(self, learner):
         with pytest.raises(ValueError, match="own partner"):
-            build_sample_vector(learner, learner, _block(), HashingEmbedder())
+            build_sample_vector(learner, learner, domain_vector(_block(), HashingEmbedder()))
 
     def test_deterministic(self, learner, partner):
         emb = HashingEmbedder()
-        block = _block()
         assert np.allclose(
-            build_sample_vector(learner, partner, block, emb),
-            build_sample_vector(learner, partner, block, emb),
+            build_sample_vector(learner, partner, domain_vector(_block(), emb)),
+            build_sample_vector(learner, partner, domain_vector(_block(), emb)),
         )
 
 
@@ -186,14 +187,17 @@ def test_build_dataset_counts_and_bounds():
     cohort = {f"P{i}": Learner(f"P{i}", p) for i, p in enumerate(enumerate_personas()[:4])}
     blocks = [_block("d1", 4), _block("d2", 4)]
     paired, solo = _full_records(cohort, blocks)
-    samples = build_dataset(cohort, blocks, index_scores(solo + paired), HashingEmbedder())
-    assert len(samples) == 4 * 3 * 2
-    assert all(-1.0 <= s.y <= 1.0 for s in samples)
-    assert all(s.x.shape == (36,) for s in samples)
-    keys = [(s.learner_id, s.partner_id, s.domain) for s in samples]
-    assert keys == sorted(keys)
-    again = build_dataset(cohort, blocks, index_scores(solo + paired), HashingEmbedder())
-    assert all(np.allclose(a.x, b.x) and a.y == b.y for a, b in zip(samples, again))
+    scores, emb = index_scores(solo + paired), HashingEmbedder()
+    X, y = build_dataset(cohort, blocks, scores, emb)
+    assert X.shape == (4 * 3 * 2, 36) and y.shape == (4 * 3 * 2,)
+    assert np.all((-1.0 <= y) & (y <= 1.0))
+    # rows run learner, then partner, then domain
+    order = [(l, p, b) for l in sorted(cohort) for p in sorted(cohort) if p != l for b in blocks]
+    for row, (l, p, b) in enumerate(order):
+        assert np.array_equal(X[row], build_sample_vector(cohort[l], cohort[p], domain_vector(b, emb)))
+        assert y[row] == pair_gain(cohort[l], cohort[p], b, scores)
+    again = build_dataset(cohort, blocks, scores, HashingEmbedder())
+    assert np.array_equal(X, again[0]) and np.array_equal(y, again[1])
 
 
 @given(st.lists(st.integers(0, 1), min_size=4, max_size=4), st.lists(st.integers(0, 1), min_size=4, max_size=4))

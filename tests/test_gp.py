@@ -13,7 +13,6 @@ from peermatch.gp import (
     GpRegressor,
     KernelParams,
     covariance_matrix,
-    fit_gp,
     load_model,
     log_marginal_likelihood,
     mll_gradient,
@@ -141,7 +140,7 @@ class TestGradient:
         with pytest.raises(SingularMatrixError, match="dpotri"):
             mll_gradient(X, y, P)
         with pytest.raises(FitError, match="all restarts"):
-            fit_gp(X, y, GpFitConfig(restarts=1))
+            GpRegressor(GpFitConfig(restarts=1)).fit(X, y)
 
     def test_small_gradient_at_optimum(self):
         rng = np.random.default_rng(12)
@@ -149,7 +148,7 @@ class TestGradient:
         model_params = KernelParams(1.0, 0.8, 0.05)
         L = np.linalg.cholesky(covariance_matrix(X, model_params))
         y = L @ rng.standard_normal(25)
-        model = fit_gp(X, y, GpFitConfig(seed=0, tol=1e-12, max_iters=600))
+        model = GpRegressor(GpFitConfig(seed=0, tol=1e-12, max_iters=600)).fit(X, y)
         assert float(np.linalg.norm(mll_gradient(X, y, model.params))) < 1e-3
 
     def test_noise_gradient_positive_when_noise_underestimated(self):
@@ -178,8 +177,8 @@ class TestFit:
         X = rng.standard_normal((12, 2))
         y = rng.standard_normal(12)
         cfg = GpFitConfig(seed=7)
-        a = fit_gp(X, y, cfg)
-        b = fit_gp(X, y, cfg)
+        a = GpRegressor(cfg).fit(X, y)
+        b = GpRegressor(cfg).fit(X, y)
         assert a.params == b.params
         assert a.mll == b.mll
 
@@ -188,7 +187,7 @@ class TestFit:
         X = rng.standard_normal((10, 1))
         y = rng.standard_normal(10)
         cfg = GpFitConfig(seed=3, restarts=3)
-        model = fit_gp(X, y, cfg)
+        model = GpRegressor(cfg).fit(X, y)
         init_rng = np.random.default_rng(cfg.seed)
         inits = [np.log(np.array(cfg.init))] + [init_rng.uniform(-2, 2, 3) for _ in range(cfg.restarts)]
         for theta in inits:
@@ -199,7 +198,7 @@ class TestFit:
         rng = np.random.default_rng(1000)
         X = np.sort(rng.uniform(0, 5, 40)).reshape(-1, 1)
         y = _sample_from(truth, X, rng)
-        model = fit_gp(X, y, GpFitConfig(seed=0))
+        model = GpRegressor(GpFitConfig(seed=0)).fit(X, y)
         err = np.abs(model.params.log_vector() - truth.log_vector()) / math.log(10.0)
         assert np.all(err <= 0.5)
 
@@ -207,7 +206,7 @@ class TestFit:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((8, 1))
         y = rng.standard_normal(8)
-        model = fit_gp(X, y, GpFitConfig(seed=1))
+        model = GpRegressor(GpFitConfig(seed=1)).fit(X, y)
         assert len(model.trace) >= 2
         mlls = [row[0] for row in model.trace]
         assert mlls == sorted(mlls)
@@ -215,9 +214,9 @@ class TestFit:
 
     def test_rejects_bad_input(self):
         with pytest.raises(FitError):
-            fit_gp(np.zeros((0, 2)), np.zeros(0))
+            GpRegressor().fit(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(FitError):
-            fit_gp(np.array([[np.inf]]), np.array([1.0]))
+            GpRegressor().fit(np.array([[np.inf]]), np.array([1.0]))
 
 
 class TestPredict:
@@ -225,7 +224,7 @@ class TestPredict:
         rng = np.random.default_rng(6)
         X = rng.uniform(0, 1, size=(10, 1))
         y = rng.standard_normal(10)
-        model = fit_gp(X, y, GpFitConfig(seed=0, restarts=0, max_iters=0))
+        model = GpRegressor(GpFitConfig(seed=0, restarts=0, max_iters=0)).fit(X, y)
         far = model.predict(np.array([1e5]))
         assert far.mean == pytest.approx(0.0, abs=1e-9)
         assert far.variance == pytest.approx(
@@ -287,7 +286,7 @@ class TestPredict:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((15, 2))
         y = rng.standard_normal(15)
-        model = fit_gp(X, y, GpFitConfig(seed=0, restarts=1, max_iters=40))
+        model = GpRegressor(GpFitConfig(seed=0, restarts=1, max_iters=40)).fit(X, y)
         p = model.params
         for _ in range(50):
             pred = model.predict(rng.standard_normal(2) * 3)
@@ -296,7 +295,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((5, 2))
-        model = fit_gp(X, rng.standard_normal(5), GpFitConfig(seed=0, restarts=0, max_iters=1))
+        model = GpRegressor(GpFitConfig(seed=0, restarts=0, max_iters=1)).fit(X, rng.standard_normal(5))
         with pytest.raises(ValueError, match="shape"):
             model.predict(np.zeros(3))
 
@@ -306,7 +305,7 @@ class TestSnapshot:
         rng = np.random.default_rng(14)
         X = rng.standard_normal((9, 2))
         y = rng.standard_normal(9)
-        model = fit_gp(X, y, GpFitConfig(seed=2, restarts=1, max_iters=60))
+        model = GpRegressor(GpFitConfig(seed=2, restarts=1, max_iters=60)).fit(X, y)
         model.save(tmp_path / "model.json")
         loaded = load_model(tmp_path / "model.json")
         for _ in range(10):
@@ -322,7 +321,7 @@ class TestSnapshot:
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((12, 3))
         y = rng.standard_normal(12)
-        model = fit_gp(X, y, GpFitConfig(seed=seed, restarts=1, max_iters=60))
+        model = GpRegressor(GpFitConfig(seed=seed, restarts=1, max_iters=60)).fit(X, y)
         model.save(tmp_path / "model.json")
         loaded = load_model(tmp_path / "model.json")
         assert loaded.params == model.params
@@ -369,7 +368,7 @@ def test_cached_factor_reconstructs_covariance():
     rng = np.random.default_rng(21)
     X = rng.standard_normal((14, 3))
     y = rng.standard_normal(14)
-    model = fit_gp(X, y, GpFitConfig(seed=0, restarts=0, max_iters=25))
+    model = GpRegressor(GpFitConfig(seed=0, restarts=0, max_iters=25)).fit(X, y)
     K = covariance_matrix(X, model.params) + model.jitter * np.eye(14)
     assert np.allclose(model.L @ model.L.T, K, atol=1e-10)
 

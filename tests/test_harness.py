@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from peermatch import harness
-from peermatch.backends import MockBackend, TransportError
+from peermatch.backends import MockBackend, TransportError, mock_correct_label
 from peermatch.corpus import make_synthetic_corpus
 from peermatch.gp import GpFitConfig
 from peermatch.harness import (
@@ -105,6 +105,7 @@ class TestConfigValidation:
         corpus = make_synthetic_corpus(
             [("s1", "STEM", 2), ("s2", "STEM", 2), ("h1", "Humanities", 2), ("soc", "Social Science", 2)],
             seed=0,
+            key_fn=mock_correct_label,
         )
         cfg = cfg_with("bad", regressor="gp", pareto="global", train_domains=("soc",))
         with pytest.raises(ConfigError, match="Social Science"):
@@ -421,9 +422,9 @@ def test_local_fronts_group_records_by_block_not_exercise_id(tmp_path):
 
 # SHA-256 of what the train phase feeds the regressor and the fronts, for the
 # default synthetic corpus at seed 42: the (learner, partner, domain, repr(y))
-# rows build_dataset returns, and the fronts dump without the fields a fitted
-# model decides (mean, variance, value, chosen), so both hold at any BLAS
-# thread count.
+# rows of the labels build_dataset returns, keyed in its documented row order,
+# and the fronts dump without the fields a fitted model decides (mean,
+# variance, value, chosen), so both hold at any BLAS thread count.
 TRAIN_PHASE_DIGESTS = {
     "gp-global": (
         "9af20f3ec80df778c8ce1fcde4f0b794f796f4a2e4affc010fd7ccd1969c9167",
@@ -441,10 +442,13 @@ def test_train_phase_bytes_match_recorded_digests(name, tmp_path, monkeypatch):
     rows = []
     build = harness.build_dataset
 
-    def recording_build(*args, **kwargs):
-        samples = build(*args, **kwargs)
-        rows.extend((s.learner_id, s.partner_id, s.domain, repr(s.y)) for s in samples)
-        return samples
+    def recording_build(cohort, blocks, *args, **kwargs):
+        X, y = build(cohort, blocks, *args, **kwargs)
+        ids = sorted(cohort)
+        keys = [(l, p, b.domain) for l in ids for p in ids if p != l for b in sorted(blocks, key=lambda b: b.domain)]
+        assert len(keys) == len(y)
+        rows.extend((*key, repr(gain)) for key, gain in zip(keys, y.tolist()))
+        return X, y
 
     monkeypatch.setattr(harness, "build_dataset", recording_build)
     cfg = next(c for c in default_suite_configs(seed=42) if c.name == name)
@@ -538,6 +542,47 @@ class TestSharedWork:
         assert cached == calls
         assert cached_jobs == jobs
         assert sum(1 for p in (tmp_path / "cache" / "cache").rglob("*") if p.is_file()) == len(calls)
+
+
+def test_interrupted_cache_suite_resumes_exactly(tmp_path, monkeypatch):
+    """A cache suite stopped by a failed call, rerun with the same out dir,
+    pays only for the calls it had not made and writes the same bytes as an
+    uninterrupted run."""
+    configs = [replace(cfg, gp_fit=FAST_GP, nn_fit=FAST_NN) for cfg in default_suite_configs(seed=7, backend="cache")]
+    paid, fail_after, variant_starts = [0], [None], {}
+    complete, run_one = MockBackend.complete, harness.run_variant
+
+    def paid_call(self, prompt, params):
+        if paid[0] == fail_after[0]:
+            raise TransportError("endpoint went away")
+        paid[0] += 1
+        return complete(self, prompt, params)
+
+    def marked_variant(cfg, *args, **kwargs):
+        variant_starts[cfg.name] = paid[0]
+        return run_one(cfg, *args, **kwargs)
+
+    def suite(out):
+        paid[0] = 0
+        run_suite(configs, small_corpus(per_domain=2), out_dir=out)
+        return paid[0]
+
+    monkeypatch.setattr(MockBackend, "complete", paid_call)
+    monkeypatch.setattr(harness, "run_variant", marked_variant)
+    total = suite(tmp_path / "whole")
+    # stop halfway through nn-global: gp-global's files and nn-global's model are written by then
+    start, end = variant_starts["nn-global"], variant_starts["nn-local"]
+    assert end - start >= 2
+    n = fail_after[0] = (start + end) // 2
+    with pytest.raises(TransportError, match="nn-global"):
+        suite(tmp_path / "resumed")
+    assert paid[0] == n
+    fail_after[0] = None
+    assert suite(tmp_path / "resumed") == total - n
+    whole, resumed = tmp_path / "whole", tmp_path / "resumed"
+    assert {p.relative_to(whole): p.read_bytes() for p in sorted(whole.rglob("*")) if p.is_file()} == {
+        p.relative_to(resumed): p.read_bytes() for p in sorted(resumed.rglob("*")) if p.is_file()
+    }
 
 
 def _fast_gp_suite(out_dir):

@@ -3,7 +3,7 @@ import pytest
 
 from peermatch.features import HashingEmbedder
 from peermatch.gp import FitError
-from peermatch.nn import MlpConfig, MlpRegressor, fit_mlp
+from peermatch.nn import MlpConfig, MlpRegressor
 from peermatch.personas import enumerate_personas
 
 
@@ -24,27 +24,27 @@ def _pattern_dataset():
 
 def test_zero_targets_give_near_zero_predictions():
     X, _ = _pattern_dataset()
-    model = fit_mlp(X, np.zeros(len(X)), MlpConfig(seed=0))
+    model = MlpRegressor(MlpConfig(seed=0)).fit(X, np.zeros(len(X)))
     assert max(abs(model.predict(x).mean) for x in X) < 1e-2
 
 
 def test_learns_complementarity_pattern():
     X, y = _pattern_dataset()
-    model = fit_mlp(X, y, MlpConfig(seed=0))
+    model = MlpRegressor(MlpConfig(seed=0)).fit(X, y)
     assert model.final_loss < 0.01
 
 
 def test_same_seed_same_weights():
     X, y = _pattern_dataset()
-    a = fit_mlp(X, y, MlpConfig(seed=5))
-    b = fit_mlp(X, y, MlpConfig(seed=5))
+    a = MlpRegressor(MlpConfig(seed=5)).fit(X, y)
+    b = MlpRegressor(MlpConfig(seed=5)).fit(X, y)
     assert np.array_equal(a.W1, b.W1) and np.array_equal(a.w2, b.w2) and a.b2 == b.b2
 
 
 def test_different_seed_different_weights():
     X, y = _pattern_dataset()
-    a = fit_mlp(X, y, MlpConfig(seed=1, iters=50))
-    b = fit_mlp(X, y, MlpConfig(seed=2, iters=50))
+    a = MlpRegressor(MlpConfig(seed=1, iters=50)).fit(X, y)
+    b = MlpRegressor(MlpConfig(seed=2, iters=50)).fit(X, y)
     assert not np.array_equal(a.W1, b.W1)
 
 
@@ -57,14 +57,14 @@ def test_predictions_carry_zero_variance():
 def test_divergent_training_raises():
     X, y = _pattern_dataset()
     with pytest.raises(FitError, match="non-finite"):
-        fit_mlp(X, y * 1e6, MlpConfig(learning_rate=1e9, iters=50))
+        MlpRegressor(MlpConfig(learning_rate=1e9, iters=50)).fit(X, y * 1e6)
 
 
 def test_shape_validation():
     with pytest.raises(FitError):
-        fit_mlp(np.zeros((0, 3)), np.zeros(0))
+        MlpRegressor().fit(np.zeros((0, 3)), np.zeros(0))
     X, y = _pattern_dataset()
-    model = fit_mlp(X, y, MlpConfig(iters=10))
+    model = MlpRegressor(MlpConfig(iters=10)).fit(X, y)
     with pytest.raises(ValueError, match="shape"):
         model.predict(np.zeros(3))
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from peermatch.backends import mock_correct_label
 from peermatch.corpus import ExerciseBlock, make_synthetic_corpus
 from peermatch.features import CoverageError, HashingEmbedder, index_scores
 from peermatch.gp import GpFitConfig, GpRegressor, Prediction
@@ -129,7 +130,7 @@ def _paired(lid, pid, block, outcomes):
 
 
 def _blocks():
-    exs = make_synthetic_corpus([("alpha", "STEM", 4), ("beta", "Humanities", 2)], seed=2)
+    exs = make_synthetic_corpus([("alpha", "STEM", 4), ("beta", "Humanities", 2)], seed=2, key_fn=mock_correct_label)
     alpha = ExerciseBlock("alpha", tuple(e for e in exs if e.domain == "alpha"))
     beta = ExerciseBlock("beta", tuple(e for e in exs if e.domain == "beta"))
     return alpha, beta
