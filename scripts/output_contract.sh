@@ -14,6 +14,9 @@
 # `train_domains` and `mock` and a variant that sets its own `mock_bonus`, and
 # `simulate --config ... --out` on the fixture corpus through the replay cache.
 # The exit status is that of `diff -r`: 0 when both trees wrote the same bytes.
+# Before the diff, the script exits 1, naming the files, if either output tree
+# holds a leftover `*.tmp` file: every write lands through a temp file and a
+# rename, so one left behind is a write that was not cleaned up.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -75,4 +78,10 @@ echo "running the contract commands from $1" >&2
 run_commands "$tmp/base-tree" "$tmp/base"
 echo "running the contract commands from the working tree" >&2
 run_commands "$repo" "$tmp/work"
+leftovers=$(find "$tmp/base" "$tmp/work" -name '*.tmp')
+if [ -n "$leftovers" ]; then
+    echo "leftover temp files:" >&2
+    echo "$leftovers" >&2
+    exit 1
+fi
 diff -r "$tmp/base" "$tmp/work"

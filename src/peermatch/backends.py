@@ -186,21 +186,23 @@ class CachingBackend:
 
     def __init__(self, inner: CompletionBackend, root: str | Path):
         self.inner = inner
-        self.root = Path(root)
+        self.root = os.fspath(root)
         self.name = f"cache({inner.name})"
         self.hits = 0
         self.misses = 0
 
-    def _path_for(self, prompt: str, params: DecodeParams) -> Path:
-        digest = sha256_hex(f"{self.inner.name}\x1f{params.cache_key()}\x1f{prompt}")
-        return self.root / digest[:2] / digest
-
     def complete(self, prompt: str, params: DecodeParams) -> str:
-        path = self._path_for(prompt, params)
-        if path.exists():
+        digest = sha256_hex(f"{self.inner.name}\x1f{params.cache_key()}\x1f{prompt}")
+        path = os.path.join(self.root, digest[:2], digest)
+        try:
+            with open(path, "rb") as f:
+                # read and written without newline translation, which would turn \r\n into \n
+                reply = f.read().decode("utf-8")
+        except FileNotFoundError:
+            pass
+        else:
             self.hits += 1
-            # read and written without newline translation, which would turn \r\n into \n
-            return path.read_bytes().decode("utf-8")
+            return reply
         reply = self.inner.complete(prompt, params)
         # written whole: a crash mid-write must not leave a truncated entry that replays as a hit
         write_file(path, reply)

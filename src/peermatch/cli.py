@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -120,11 +121,14 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    exercises = _resolve_corpus(args.path)
+    if not math.isfinite(args.threshold):
+        raise ConfigError(f"profile: threshold must be a finite number, got {args.threshold}")
     cfg = VariantConfig(
         name="profile", role_setting=False, co_learning=False,
         seed=args.seed or 0, backend=args.backend or "mock",
     )
+    cfg.validate()
+    exercises = _resolve_corpus(args.path)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # before the first call: an unusable --out costs none
     backend = build_backend(cfg, cache_dir=out / "cache")

@@ -7,7 +7,9 @@ total accuracy in percent together with its gain over the baseline row.
 
 from __future__ import annotations
 
+import math
 import statistics
+import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -38,6 +40,37 @@ Table = Mapping[str, Mapping[str, Stats]]
 ComponentRow = tuple[str, bool, bool, bool, bool]
 
 
+# bits past the float's precision that make the round-to-odd root round once
+_SQRT_BIT_WIDTH = 2 * sys.float_info.mant_dig + 3
+
+
+def _isqrt_of_frac_rto(n: int, m: int) -> int:
+    """Square root of n/m as an integer, rounded to odd."""
+    a = math.isqrt(n // m)
+    return a | (a * a * m != n)
+
+
+def pstdev(values: Sequence[float]) -> float:
+    """Population standard deviation, correctly rounded on every Python version.
+
+    The variance is an exact ratio of integers, and its square root rounds
+    once, by the integer method of CPython 3.11's ``statistics``.
+    ``statistics.pstdev`` rounds twice before 3.11, so a report's last bit
+    would otherwise depend on the interpreter.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    # a float's denominator is a power of two, so each divides the largest
+    scale = max(den for _, den in ratios)
+    xs = [num * (scale // den) for num, den in ratios]
+    count, total = len(xs), sum(xs)
+    # variance = n / m exactly, with n and m integers
+    n, m = count * sum(x * x for x in xs) - total * total, (count * scale) ** 2
+    q = (n.bit_length() - m.bit_length() - _SQRT_BIT_WIDTH) // 2
+    if q >= 0:
+        return float(_isqrt_of_frac_rto(n, m << 2 * q) << q)
+    return _isqrt_of_frac_rto(n << -2 * q, m) / (1 << -q)
+
+
 def compute_metrics(per_learner: Mapping[str, Mapping[str, float]]) -> dict[str, Stats]:
     """Mean/best/population-std over learners, per category.
 
@@ -54,9 +87,11 @@ def compute_metrics(per_learner: Mapping[str, Mapping[str, float]]) -> dict[str,
     out: dict[str, Stats] = {}
     for category in categories:
         values = [per_learner[lid][category] for lid in learners]
+        if not all(map(math.isfinite, values)):
+            raise MetricsError(f"{category}: accuracies must be finite numbers, got {values}")
         # correctly rounded: the mean never exceeds the max, and a tiny
         # spread does not underflow to a zero std
-        out[category] = Stats(mean=statistics.mean(values), best=max(values), std=statistics.pstdev(values))
+        out[category] = Stats(mean=statistics.mean(values), best=max(values), std=pstdev(values))
     return out
 
 

@@ -17,17 +17,27 @@ from typing import Iterable
 def write_file(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file beside it and a rename.
 
-    The parent directory is made first. Nothing translates newlines. On any
-    failure the temp file is removed and ``path`` keeps what it held before.
+    The parent directory is made only when the temp file cannot be opened for
+    want of it. Nothing translates newlines. On any failure the temp file is
+    removed and ``path`` keeps what it held before.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    path = os.fspath(path)
+    data = text.encode("utf-8")  # fails before anything is created
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        tmp.write_text(text, "utf-8", newline="")
+        try:
+            f = open(tmp, "wb")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            f = open(tmp, "wb")
+        with f:
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
         raise
 
 

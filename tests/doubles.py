@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 from peermatch.backends import DecodeParams
 from peermatch.corpus import Exercise
 from peermatch.protocol import ResponseRecord
@@ -16,6 +18,21 @@ class FunctionBackend:
 
     def complete(self, prompt: str, params: DecodeParams) -> str:
         return self._fn(prompt, params)
+
+
+class TornWriter(io.BufferedWriter):
+    """A binary file whose ``write`` lands half its bytes and then fails, as a full disk would."""
+
+    def write(self, data):
+        super().write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+def torn_open(file, mode="r", *args, **kwargs):
+    """Stands in for ``open`` in ``peermatch.writer``: every file opened for writing tears."""
+    if "w" not in mode:
+        return open(file, mode, *args, **kwargs)
+    return TornWriter(io.FileIO(file, mode))
 
 
 def option_leaks(record: ResponseRecord, exercise: Exercise) -> list[tuple[int, str]]:

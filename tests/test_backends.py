@@ -1,8 +1,8 @@
 import http.client
 import io
 import json
+import os
 import urllib.error
-from pathlib import Path
 
 import pytest
 
@@ -18,7 +18,7 @@ from peermatch.backends import (
 from peermatch.corpus import make_synthetic_corpus
 from peermatch.personas import Learner, Persona
 from peermatch.protocol import exchange_and_resolve, solo_prompt, solve_exercise
-from doubles import FunctionBackend
+from doubles import FunctionBackend, torn_open
 
 
 def test_mock_is_pure(prompts, exercise, learner):
@@ -118,13 +118,7 @@ def test_cache_distinguishes_inner_backends(tmp_path):
 def test_cache_write_failure_leaves_no_entry(tmp_path, monkeypatch):
     inner = CountingBackend(reply="Answer: B, after a long deliberation")
     cache = CachingBackend(inner, tmp_path / "cache")
-    real_write_text = Path.write_text
-
-    def torn_write_text(self, data, *args, **kwargs):
-        real_write_text(self, data[: len(data) // 2], *args, **kwargs)
-        raise OSError("disk full")
-
-    monkeypatch.setattr(Path, "write_text", torn_write_text)
+    monkeypatch.setattr("peermatch.writer.open", torn_open, raising=False)
     with pytest.raises(OSError, match="disk full"):
         cache.complete("prompt", DecodeParams())
     monkeypatch.undo()
@@ -132,6 +126,44 @@ def test_cache_write_failure_leaves_no_entry(tmp_path, monkeypatch):
     assert cache.complete("prompt", DecodeParams()) == inner.reply
     assert inner.calls == 2
     assert cache.hits == 0
+
+
+def test_cache_entry_is_the_reply_utf8_bytes(tmp_path):
+    reply = "Answer: B\r\n选 the second\rend"
+    inner = CountingBackend(reply)
+    cache = CachingBackend(inner, tmp_path / "cache")
+    assert cache.complete("prompt", DecodeParams()) == reply
+    [entry] = [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
+    assert entry.read_bytes() == reply.encode("utf-8")
+    assert CachingBackend(inner, tmp_path / "cache").complete("prompt", DecodeParams()) == reply
+    assert inner.calls == 1
+
+
+def test_unencodable_reply_leaves_no_entry_and_pays_again(tmp_path):
+    inner = CountingBackend("Answer: A \ud800")
+    cache = CachingBackend(inner, tmp_path / "cache")
+    with pytest.raises(UnicodeEncodeError):
+        cache.complete("prompt", DecodeParams())
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+    assert list(tmp_path.rglob("*.tmp")) == []
+    inner.reply = "Answer: A"
+    assert cache.complete("prompt", DecodeParams()) == "Answer: A"
+    assert (inner.calls, cache.hits, cache.misses) == (2, 0, 1)
+
+
+def test_misses_into_existing_prefix_directories_make_none(tmp_path, monkeypatch):
+    root = tmp_path / "cache"
+    for prefix in range(256):
+        (root / f"{prefix:02x}").mkdir(parents=True)
+    made = []
+    for name in ("makedirs", "mkdir"):
+        monkeypatch.setattr(os, name, lambda *args, **kwargs: made.append(args))
+    cache = CachingBackend(CountingBackend(), root)
+    for i in range(50):
+        cache.complete(f"prompt {i}", DecodeParams())
+    assert made == []
+    assert cache.misses == 50
+    assert len([p for p in root.rglob("*") if p.is_file()]) == 50
 
 
 def test_function_backend_passthrough():

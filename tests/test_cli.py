@@ -324,6 +324,17 @@ def test_report_on_malformed_results_exits_2_and_writes_nothing(tmp_path, capsys
     assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
 
 
+@pytest.mark.parametrize("accuracy", [float("nan"), float("inf")])
+def test_report_on_non_finite_accuracy_exits_2_and_writes_nothing(tmp_path, capsys, accuracy):
+    payload = json.loads(json.dumps(_ONE_VARIANT_RESULTS))
+    payload["variants"][0]["per_learner"]["L0"]["STEM"] = accuracy
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(payload), "utf-8")
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: MetricsError: STEM: accuracies must be finite numbers")
+    assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
+
+
 @pytest.mark.parametrize(
     "last, message",
     [
@@ -384,6 +395,22 @@ def test_profile_rejects_live_backend(tmp_path, capsys):
         main(["profile", "synthetic", "--backend", "live", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-3", "--backend", "cache"], "profile: seed must be non-negative, got -3"),
+        (["--threshold", "nan"], "profile: threshold must be a finite number, got nan"),
+        (["--threshold", "inf"], "profile: threshold must be a finite number, got inf"),
+    ],
+)
+def test_profile_rejects_a_bad_setting_before_writing(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.setattr(MockBackend, "complete", _no_backend_call)
+    out = tmp_path / "out"
+    assert main(["profile", "fixture", "--repeats", "2", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_live_section_missing_required_key(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import statistics
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -9,6 +11,7 @@ from peermatch.metrics import (
     compute_metrics,
     format_gain_cell,
     gain_report,
+    pstdev,
     write_category_table_csv,
     write_component_table_csv,
 )
@@ -44,6 +47,12 @@ def test_empty_input_rejected():
         compute_metrics({})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_accuracy_rejected(bad):
+    with pytest.raises(MetricsError, match="finite"):
+        compute_metrics(_per_learner([0.5, bad]))
+
+
 def test_inconsistent_categories_rejected():
     with pytest.raises(MetricsError, match="different categories"):
         compute_metrics({"a": {"Total": 0.1}, "b": {"STEM": 0.1}})
@@ -52,6 +61,7 @@ def test_inconsistent_categories_rejected():
 @given(st.lists(st.floats(0, 1), min_size=1, max_size=30))
 @example([0.09936503945925382] * 3)  # a naive sum/len lands one ulp above the max
 @example([0.0, 3.7e-213])  # squared deviations underflow to a zero std
+@example([0.0, 5e-324])  # the true std is half the smallest subnormal, which rounds to 0.0
 def test_metric_identities(values):
     stats = compute_metrics(_per_learner(values))["Total"]
     assert stats.best >= stats.mean >= 0.0
@@ -59,7 +69,34 @@ def test_metric_identities(values):
     if len(set(values)) == 1:
         assert stats.std == pytest.approx(0.0, abs=1e-12)
     if stats.std == 0.0:
-        assert len(set(values)) == 1
+        # Two values at the extremes alone give squared deviations of at least
+        # (max - min)**2 / 2, so the true std is at least (max - min) / sqrt(2n).
+        # A std rounded to 0.0 is at most ulp(0.0) / 2, hence
+        # max - min <= sqrt(n / 2) * ulp(0.0) <= n * ulp(0.0).
+        assert max(values) - min(values) <= len(values) * math.ulp(0.0)
+
+
+@pytest.mark.parametrize(
+    "values, std",
+    [
+        ([0.0, 3.7e-213], 1.85e-213),
+        ([0.0, 5e-324], 0.0),
+        ([0.7], 0.0),
+        ([0.1, 0.5, 0.9], 0.32659863237109044),
+        # lists where Python 3.10's statistics.pstdev is one ulp off
+        ([0.30729165121314117, 0.662109973415654, 0.42616813546430454], 0.14745854829008884),
+        ([0.39985461808399114, 0.17233733552282648, 0.22350015830550718], 0.09745805011095786),
+        ([0.6012547512291391, 0.2574733408427168, 0.007837169551924261], 0.24327586133798293),
+    ],
+)
+def test_pstdev_is_correctly_rounded_on_every_version(values, std):
+    assert pstdev(values) == std
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.pstdev rounds twice before 3.11")
+@given(st.lists(st.floats(0, 1), min_size=1, max_size=30))
+def test_pstdev_matches_statistics_bit_for_bit(values):
+    assert pstdev(values) == statistics.pstdev(values)
 
 
 class TestGainCell:

@@ -1,8 +1,7 @@
-from pathlib import Path
-
 import pytest
 
 from peermatch.writer import csv_text, write_file
+from doubles import torn_open
 
 
 def test_write_file_makes_the_parent_and_translates_no_newline(tmp_path):
@@ -15,18 +14,20 @@ def test_failed_write_keeps_the_old_target_and_leaves_no_temp_file(tmp_path, mon
     # the torn write of test_cache_write_failure_leaves_no_entry, against a target that already exists
     target = tmp_path / "report.txt"
     write_file(target, "old\n")
-    real_write_text = Path.write_text
-
-    def torn_write_text(self, data, *args, **kwargs):
-        real_write_text(self, data[: len(data) // 2], *args, **kwargs)
-        raise OSError("disk full")
-
-    monkeypatch.setattr(Path, "write_text", torn_write_text)
+    monkeypatch.setattr("peermatch.writer.open", torn_open, raising=False)
     with pytest.raises(OSError, match="disk full"):
         write_file(target, "new and longer contents\n")
     monkeypatch.undo()
     assert target.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
+def test_directory_target_fails_and_leaves_no_temp_file(tmp_path):
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        write_file(tmp_path / "taken", "text\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
 
 
 def test_csv_text_ends_every_line_with_crlf():
