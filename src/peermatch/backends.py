@@ -14,6 +14,7 @@ import json
 import os
 import urllib.request
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Protocol
 
@@ -93,6 +94,8 @@ class MockBackend:
             f"mock/v{self.prompts.version}/seed={seed}"
             f"/base={base_difficulty!r}/bonus={complementarity_bonus!r}"
         )
+        # per instance and bounded: a profile sends one question's repeats back to back
+        self._read_question = lru_cache(maxsize=16)(self._question)
 
     @staticmethod
     def _detect(phrases: dict, region: str) -> int:
@@ -117,11 +120,13 @@ class MockBackend:
                 labels.append(line[0])
         return stem_part.strip(), tuple(labels)
 
-    def _answer(self, prompt: str, params: DecodeParams) -> str:
+    def _question(self, prompt: str) -> tuple[str, tuple[str, ...], str | None, int]:
+        """What a question prompt alone decides: stem, labels, believed label (None without
+        labels) and complementarity (0 or 1). The same for every decode seed."""
         p = self.prompts
         stem, labels = self._split_stem_and_labels(prompt)
         if not labels:
-            return "I cannot find any options to choose from."
+            return stem, labels, None, 0
         belief = mock_correct_label(stem, labels)
 
         role_region = prompt.split(p.question_header, 1)[0]
@@ -130,16 +135,20 @@ class MockBackend:
         if p.summary_header in prompt:
             summary_region = prompt.split(p.summary_header, 1)[1]
             partner_subject = self._detect(p.subject, summary_region)
-        complementary = 1 if own_subject * partner_subject == -1 else 0
+        return stem, labels, belief, 1 if own_subject * partner_subject == -1 else 0
 
+    def _answer(self, prompt: str, params: DecodeParams) -> str:
+        stem, labels, belief, complementary = self._read_question(prompt)
+        if not labels:
+            return "I cannot find any options to choose from."
         prob = self.base_difficulty + self.complementarity_bonus * complementary
         prob = min(1.0, max(0.0, prob))
-        draw = unit_uniform("draw", str(self.seed), params.cache_key(), stem)
-        if draw < prob:
+        seed, key = str(self.seed), params.cache_key()
+        if unit_uniform("draw", seed, key, stem) < prob:
             choice = belief
         else:
             wrong = [lab for lab in labels if lab != belief]
-            choice = wrong[stable_u64("miss", str(self.seed), params.cache_key(), stem) % len(wrong)]
+            choice = wrong[stable_u64("miss", seed, key, stem) % len(wrong)]
         return f"Weighing the listed claims against the stated assumptions, option {choice} holds up best.\nAnswer: {choice}"
 
     def _draft(self, prompt: str) -> str:

@@ -121,6 +121,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if args.repeats < 1:
+        raise ConfigError(f"profile: repeats must be >= 1, got {args.repeats}")
     if not math.isfinite(args.threshold):
         raise ConfigError(f"profile: threshold must be a finite number, got {args.threshold}")
     cfg = VariantConfig(
@@ -133,11 +135,12 @@ def _cmd_profile(args) -> int:
     out.mkdir(parents=True, exist_ok=True)  # before the first call: an unusable --out costs none
     backend = build_backend(cfg, cache_dir=out / "cache")
     probe = Learner(id="probe", persona=Persona(0, 0))
-    # a generator: each record holds its prompt, so a list of every answer would hold every prompt at once
+    # a generator: each record holds its prompt, so a list of every answer would hold every prompt at once.
+    # Exercise-major: one prompt's repeats reach the backend back to back, so the mock reads it once.
     records = (
         solve_exercise(probe, exercise, backend, params=DecodeParams(seed=repeat), use_persona=False)
-        for repeat in range(args.repeats)
         for exercise in exercises
+        for repeat in range(args.repeats)
     )
     profile = difficulty_profile(exercises, records, args.repeats)
     profile.save(out / "difficulty.csv")

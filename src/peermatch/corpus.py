@@ -12,7 +12,7 @@ import csv
 import json
 import logging
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -46,7 +46,8 @@ class Exercise:
         if self.options and self.key not in self.labels:
             raise CorpusError(f"exercise {self.id!r}: key {self.key!r} not among labels {self.labels}")
 
-    @property
+    # stored in the instance __dict__, outside the fields: equality, hashing and replace() ignore it
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(chr(ord("A") + i) for i in range(len(self.options)))
 

@@ -80,6 +80,12 @@ def parse_choice(reply: str, labels: Sequence[str]) -> str | None:
     labels = tuple(labels)
     if not labels:
         raise ProtocolError("labels must be non-empty")
+    return _parse_choice(reply, labels)
+
+
+# replies repeat: a template answer differs only in its label, so a few entries serve most calls
+@lru_cache(maxsize=32)
+def _parse_choice(reply: str, labels: tuple[str, ...]) -> str | None:
     markers, standalone_any, standalone_upper = _choice_patterns(labels)
     for marker in markers.finditer(reply):
         window = reply[marker.end(): marker.end() + 24]

@@ -2,6 +2,7 @@ import http.client
 import io
 import json
 import os
+import random
 import urllib.error
 
 import pytest
@@ -15,9 +16,16 @@ from peermatch.backends import (
     TransportError,
     mock_correct_label,
 )
-from peermatch.corpus import make_synthetic_corpus
+from peermatch.corpus import fixture_corpus_path, load_corpus, make_synthetic_corpus, strip_options
 from peermatch.personas import Learner, Persona
-from peermatch.protocol import exchange_and_resolve, solo_prompt, solve_exercise
+from peermatch.protocol import (
+    draft_prompt,
+    exchange_and_resolve,
+    reanswer_prompt,
+    solo_prompt,
+    solve_exercise,
+    summary_prompt,
+)
 from doubles import FunctionBackend, torn_open
 
 
@@ -66,6 +74,34 @@ def test_mock_answers_carry_a_parseable_choice(exercise, learner):
     record = solve_exercise(learner, exercise, backend)
     assert record.choice in exercise.labels
     assert record.calls[0].reply
+
+
+def test_mock_question_memo_changes_no_reply(prompts):
+    """A backend that reads each question once answers as a fresh backend per call does."""
+    own, other = prompts.system(Persona(1, -1)), prompts.system(Persona(-1, 1))
+    calls = []
+    for e in load_corpus(fixture_corpus_path()):
+        bare = strip_options(e)
+        draft = MockBackend(seed=0).complete(draft_prompt(prompts, other, bare), DecodeParams())
+        summary = MockBackend(seed=0).complete(summary_prompt(prompts, own, bare, draft), DecodeParams())
+        option_free = "\n\n".join([own, prompts.question_header, e.stem, prompts.options_header, prompts.solo_task])
+        for prompt in (
+            solo_prompt(prompts, own, e),
+            draft_prompt(prompts, own, bare),
+            summary_prompt(prompts, own, bare, draft),
+            reanswer_prompt(prompts, own, e, summary),
+            option_free,
+        ):
+            calls.extend((prompt, DecodeParams(seed=s)) for s in (None, 0, 1, 7))
+    random.Random(5).shuffle(calls)
+    shared = {seed: MockBackend(seed=seed) for seed in (0, 3)}
+    for seed, backend in shared.items():
+        # each backend holds its own memo: the seed-3 one is still empty after seed 0 served every call
+        assert backend._read_question.cache_info().currsize == 0
+        replies = [backend.complete(prompt, params) for prompt, params in calls]
+        assert replies == [MockBackend(seed=seed).complete(prompt, params) for prompt, params in calls]
+        assert backend._read_question.cache_info().hits > 0
+    assert "I cannot find any options to choose from." in replies
 
 
 class CountingBackend:

@@ -403,6 +403,8 @@ def test_profile_rejects_live_backend(tmp_path, capsys):
         (["--seed", "-3", "--backend", "cache"], "profile: seed must be non-negative, got -3"),
         (["--threshold", "nan"], "profile: threshold must be a finite number, got nan"),
         (["--threshold", "inf"], "profile: threshold must be a finite number, got inf"),
+        (["--repeats", "0"], "profile: repeats must be >= 1, got 0"),
+        (["--repeats", "-4", "--backend", "cache"], "profile: repeats must be >= 1, got -4"),
     ],
 )
 def test_profile_rejects_a_bad_setting_before_writing(tmp_path, capsys, monkeypatch, flags, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import pytest
@@ -198,3 +199,19 @@ def test_strip_options_identity_and_fields(exercise):
     assert (bare.stem, bare.domain, bare.id) == (exercise.stem, exercise.domain, exercise.id)
     assert exercise.options  # original untouched
     assert strip_options(bare) is bare
+
+
+def test_labels_read_once_leave_fields_equality_and_copies_alone(exercise):
+    assert exercise.labels == ("A", "B", "C", "D")
+    assert exercise.labels is exercise.labels
+    twin = Exercise(**{f.name: getattr(exercise, f.name) for f in dataclasses.fields(Exercise)})
+    assert exercise == twin and hash(exercise) == hash(twin)
+    assert "labels" not in dataclasses.asdict(exercise)
+    assert dataclasses.replace(exercise, options=exercise.options[:2], key="A").labels == ("A", "B")
+    bare = strip_options(exercise)
+    assert bare.labels == ()
+    assert bare != exercise and strip_options(bare) is bare
+    # an option-free item computes its labels only when read; reading them changes neither equality nor hash
+    unread = dataclasses.replace(exercise, options=())
+    assert "labels" not in vars(unread)
+    assert bare == unread and hash(bare) == hash(unread)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from peermatch.backends import DecodeParams, MockBackend, TransportError
 from peermatch.protocol import (
     ProtocolError,
+    _parse_choice,
     parse_choice,
     solve_exercise,
     exchange_and_resolve,
@@ -15,35 +16,60 @@ from doubles import FunctionBackend, option_leaks
 LABELS = ("A", "B", "C", "D")
 
 
+def parse(reply: str) -> str | None:
+    """``parse_choice`` over LABELS, checked to give one result when computed, memoised and given a list."""
+    _parse_choice.cache_clear()
+    first = parse_choice(reply, LABELS)
+    assert parse_choice(reply, LABELS) == first
+    assert parse_choice(reply, list(LABELS)) == first
+    assert _parse_choice.cache_info().hits == 2
+    return first
+
+
+# marker words, labels in both cases, and the characters that bound a standalone label
+REPLY_PIECES = st.sampled_from(["answer", "Option ", "CHOICE:", "选", " ", "\n", "A", "b", "C.", "(D)", "E", "x", "9"])
+
+
 class TestParseChoice:
     def test_marker_then_label(self):
-        assert parse_choice("The answer is B", LABELS) == "B"
+        assert parse("The answer is B") == "B"
 
     def test_bare_label_with_bracket(self):
-        assert parse_choice("B) because the slope flattens", LABELS) == "B"
+        assert parse("B) because the slope flattens") == "B"
 
     def test_abstains_without_label(self):
-        assert parse_choice("both are plausible", LABELS) is None
+        assert parse("both are plausible") is None
 
     def test_marker_with_lowercase_label(self):
-        assert parse_choice("my choice: c", LABELS) == "C"
+        assert parse("my choice: c") == "C"
 
     def test_chinese_marker(self):
-        assert parse_choice("经过比较，选B最合理", LABELS) == "B"
+        assert parse("经过比较，选B最合理") == "B"
 
     def test_marker_beats_earlier_bare_label(self):
-        assert parse_choice("A first impression, but the answer is D", LABELS) == "D"
+        assert parse("A first impression, but the answer is D") == "D"
 
     def test_label_embedded_in_word_is_ignored(self):
-        assert parse_choice("the ABCs of this are unclear", LABELS) is None
+        assert parse("the ABCs of this are unclear") is None
 
     def test_empty_labels_rejected(self):
-        with pytest.raises(ProtocolError):
-            parse_choice("Answer: A", [])
+        for _ in range(3):  # a rejection is never memoised into a result
+            with pytest.raises(ProtocolError):
+                parse_choice("Answer: A", [])
 
     @given(st.text(max_size=80))
     def test_result_is_label_or_abstain(self, text):
         assert parse_choice(text, LABELS) in (None, *LABELS)
+
+    @given(
+        st.one_of(st.text(max_size=80), st.lists(REPLY_PIECES, max_size=12).map("".join)),
+        st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=5, unique=True),
+    )
+    def test_memoised_result_matches_the_uncached_parse(self, reply, labels):
+        expected = _parse_choice.__wrapped__(reply, tuple(labels))
+        for _ in range(2):
+            assert parse_choice(reply, labels) == expected
+            assert parse_choice(reply, tuple(labels)) == expected
 
 
 def test_solve_scores_against_key(exercise, learner):
