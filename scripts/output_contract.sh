@@ -7,13 +7,16 @@
 # BASE_REF (a commit, branch or tag) is extracted with `git archive` into a
 # temporary directory, and every output goes there too, so nothing is written
 # inside the repository. BLAS runs on one thread. The commands are the seed-42
-# mock suite, the seed-7 cache suite (its replay cache included), `report` on
+# and seed-11 mock suites, the seed-7 cache suite (its replay cache included), `report` on
 # a copy of each suite's results.json (so that the reports `suite` wrote are
 # compared too), a 20-repeat mock profile, a 5-repeat profile through the
 # replay cache (its entries included), an `ingest` of the fixture corpus, and
 # two config files written under the temporary directory: `suite --config` with top-level `seed`,
 # `train_domains` and `mock` and a variant that sets its own `mock_bonus`, and
 # `simulate --config ... --out` on the fixture corpus through the replay cache.
+# The seed-11 suite is there for its NN variants: their choice for L8 on
+# `circuit_design` hinges on a margin of 8.0e-6, so a last-bit change in the NN
+# fit shows in its `results.json` and transcripts, not only in its model files.
 # The exit status is that of `diff -r`: 0 when both trees wrote the same bytes.
 # Before the diff, the script exits 1, naming the files, if either output tree
 # holds a leftover `*.tmp` file: every write lands through a temp file and a
@@ -62,6 +65,7 @@ run_commands() {  # source tree, output directory
         export PYTHONPATH="$1/src"
         peermatch() { python3 -m peermatch.cli "$@" > /dev/null; }
         peermatch suite --seed 42 --backend mock --out "$out/suite-mock"
+        peermatch suite --seed 11 --backend mock --out "$out/suite-mock-11"
         peermatch suite --seed 7 --backend cache --out "$out/suite-cache"
         for suite in suite-mock suite-cache; do
             mkdir "$out/report-$suite"

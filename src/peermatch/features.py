@@ -9,6 +9,7 @@ independent baseline score.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -40,21 +41,36 @@ class HashingEmbedder:
     texts collide only if every n-gram contribution coincides, which for
     64-bit hashes is negligible in practice. Works on any script since it
     never tokenizes on whitespace.
+
+    Each n-gram's hash is memoised process-wide (``_ngram_hash``, at most
+    8,192 n-grams), so stems that share n-grams hash each one once.
+    The bucket sums are counts of +/-1.0, exact in floating point, and are
+    added in a Python list before the vector is built.
     """
 
     dim = 32
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
+        sums = [0.0] * self.dim
         for n in (1, 2, 3):
             for i in range(len(text) - n + 1):
-                h = stable_u64("ngram", "0", str(n), text[i : i + n])
-                sign = 1.0 if h & 1 else -1.0
-                vec[(h >> 1) % self.dim] += sign
+                h = _ngram_hash(text[i : i + n])
+                sums[(h >> 1) % self.dim] += 1.0 if h & 1 else -1.0
+        vec = np.array(sums)
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm
         return vec
+
+
+@lru_cache(maxsize=8192)
+def _ngram_hash(gram: str) -> int:
+    """The embedder's 64-bit hash of one 1-, 2- or 3-gram.
+
+    ``stable_u64`` is looked up when a gram misses the memo, so a wrapper
+    installed on this module's name sees every hash that is computed.
+    """
+    return stable_u64("ngram", "0", str(len(gram)), gram)
 
 
 def learner_short_vector(persona: Persona) -> np.ndarray:

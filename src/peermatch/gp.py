@@ -82,11 +82,27 @@ def pairwise_sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _kernel_matrix(D2: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Noise-free kernel matrix from precomputed squared distances."""
-    K = params.signal_variance * np.exp(-D2 / (2.0 * params.lengthscale**2))
+def _kernel_matrix(neg_D2: np.ndarray, params: KernelParams) -> np.ndarray:
+    """Noise-free kernel matrix from negated squared distances, in one allocation.
+
+    The divide, ``exp`` and scaling run in place, so the entries are those
+    of ``sf2 * np.exp(-D2 / (2 * lengthscale**2))`` bit for bit.
+    """
+    K = np.divide(neg_D2, 2.0 * params.lengthscale**2)
+    np.exp(K, out=K)
+    np.multiply(params.signal_variance, K, out=K)
     np.fill_diagonal(K, params.signal_variance)
     return K
+
+
+class _Distances:
+    """One fit's squared distances, their negation, and the buffers its gradients reuse."""
+
+    def __init__(self, D2: np.ndarray):
+        self.D2 = D2
+        self.neg = -D2
+        self.scaled = np.empty_like(D2)  # Krbf * D2 / lengthscale^2, the lengthscale derivative
+        self.product = np.empty_like(D2)  # K^-1 * M, elementwise
 
 
 def _add_to_diagonal(K: np.ndarray, value: float) -> np.ndarray:
@@ -103,7 +119,7 @@ def covariance_matrix(X: np.ndarray, params: KernelParams) -> np.ndarray:
         raise ValueError(f"X must be a non-empty 2-D array, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains non-finite entries")
-    return _add_to_diagonal(_kernel_matrix(pairwise_sqdist(X, X), params), params.noise_variance)
+    return _add_to_diagonal(_kernel_matrix(-pairwise_sqdist(X, X), params), params.noise_variance)
 
 
 def _factor(K: np.ndarray, y: np.ndarray, ladder: tuple[float, ...] = JITTER_LADDER):
@@ -136,19 +152,24 @@ def log_marginal_likelihood(X: np.ndarray, y: np.ndarray, params: KernelParams) 
     return _factor(K, y)[3]
 
 
-def _objective(D2: np.ndarray, y: np.ndarray, theta: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+def _objective(dist: _Distances, y: np.ndarray, theta: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
     """MLL at log parameters theta, and a function that computes its gradient.
 
     The gradient function reuses this evaluation's kernel matrix, factor and
     alpha, so a caller that rejects theta pays for one factorization only.
+    The kernel matrix is built from ``dist.neg``, negated once per fit, and
+    the gradient forms its two n x n products in ``dist``'s buffers, so it
+    must be called before the next evaluation on the same ``dist``. Every
+    floating-point operation and its order are those of GPML Alg. 2.1 and
+    eq. 5.9 as written out below; only temporaries are saved.
     """
     params = KernelParams.from_log_vector(theta)
-    Krbf = _kernel_matrix(D2, params)
+    Krbf = _kernel_matrix(dist.neg, params)
     L, _, alpha, value = _factor(_add_to_diagonal(Krbf, params.noise_variance), y)
-    return value, partial(_gradient, D2, params, Krbf, L, alpha)
+    return value, partial(_gradient, dist, params, Krbf, L, alpha)
 
 
-def _gradient(D2: np.ndarray, params: KernelParams, Krbf: np.ndarray, L: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def _gradient(dist: _Distances, params: KernelParams, Krbf: np.ndarray, L: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """MLL gradient w.r.t. (log sf2, log lengthscale, log sn2) at a factored point.
 
     GPML eq. 5.9: component j is 0.5 * trace((alpha alpha^T - K^-1) dK/dtheta_j),
@@ -164,13 +185,14 @@ def _gradient(D2: np.ndarray, params: KernelParams, Krbf: np.ndarray, L: np.ndar
     Kinv_diag = np.diag(Kinv_lower)
 
     def half_trace_w(M: np.ndarray) -> float:
-        kinv_dot_m = 2.0 * np.sum(Kinv_lower * M) - Kinv_diag @ np.diag(M)
+        kinv_dot_m = 2.0 * np.sum(np.multiply(Kinv_lower, M, out=dist.product)) - Kinv_diag @ np.diag(M)
         return 0.5 * (alpha @ (M @ alpha) - kinv_dot_m)
 
+    scaled = np.divide(dist.D2, params.lengthscale**2, out=dist.scaled)
     return np.array(
         [
             half_trace_w(Krbf),
-            half_trace_w(Krbf * (D2 / params.lengthscale**2)),
+            half_trace_w(np.multiply(Krbf, scaled, out=scaled)),
             0.5 * (alpha @ alpha - Kinv_diag.sum()) * params.noise_variance,
         ]
     )
@@ -180,7 +202,7 @@ def mll_gradient(X: np.ndarray, y: np.ndarray, params: KernelParams) -> np.ndarr
     """Analytic MLL gradient over (log sf2, log lengthscale, log sn2)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    return _objective(pairwise_sqdist(X, X), y, params.log_vector())[1]()
+    return _objective(_Distances(pairwise_sqdist(X, X)), y, params.log_vector())[1]()
 
 
 @dataclass(frozen=True)
@@ -260,14 +282,14 @@ class FittedGp:
         write_file(path, json.dumps(payload, indent=1))
 
 
-def _ascend(D2, y, theta0, config: GpFitConfig):
+def _ascend(dist: _Distances, y, theta0, config: GpFitConfig):
     """Backtracking gradient ascent from one start; returns (mll, theta, path).
 
     The gradient is computed at the start and at each accepted trial only.
     """
     theta = np.asarray(theta0, dtype=np.float64)
     try:
-        value, gradient = _objective(D2, y, theta)
+        value, gradient = _objective(dist, y, theta)
         grad = gradient()
     except SingularMatrixError:
         return -np.inf, theta, []
@@ -282,7 +304,7 @@ def _ascend(D2, y, theta0, config: GpFitConfig):
         for _ in range(MAX_HALVINGS):
             trial = theta + s * grad
             try:
-                trial_value, gradient = _objective(D2, y, trial)
+                trial_value, gradient = _objective(dist, y, trial)
                 if math.isfinite(trial_value) and trial_value > value:
                     grad = gradient()
                     accepted = True
@@ -337,7 +359,7 @@ class GpRegressor:
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise FitError("training data contains non-finite values")
 
-        D2 = pairwise_sqdist(X, X)
+        dist = _Distances(pairwise_sqdist(X, X))
         rng = np.random.default_rng(self.config.seed)
         starts = [np.log(np.asarray(self.config.init, dtype=np.float64))]
         for _ in range(self.config.restarts):
@@ -345,14 +367,14 @@ class GpRegressor:
 
         best_value, best_theta, best_path = -np.inf, None, []
         for theta0 in starts:
-            value, theta, path = _ascend(D2, y, theta0, self.config)
+            value, theta, path = _ascend(dist, y, theta0, self.config)
             if value > best_value:
                 best_value, best_theta, best_path = value, theta, path
         if best_theta is None or not math.isfinite(best_value):
             raise FitError("all restarts diverged to a non-finite objective")
 
         params = KernelParams.from_log_vector(best_theta)
-        L, jitter, alpha, _ = _factor(_add_to_diagonal(_kernel_matrix(D2, params), params.noise_variance), y)
+        L, jitter, alpha, _ = _factor(_add_to_diagonal(_kernel_matrix(dist.neg, params), params.noise_variance), y)
         return FittedGp(
             X=X.copy(),
             y=y.copy(),

@@ -2,6 +2,13 @@
 
 One tanh hidden layer, squared-error loss, full-batch gradient descent with
 seeded initialization. Being a point predictor, it reports variance 0.
+
+A fit allocates its weights, activations, residuals and gradients once and
+runs every step in those buffers through ``out=`` ufuncs and ``np.matmul``.
+Each step keeps the floating-point operations, and their order, of the plain
+loop with one fresh array per expression (``H = np.tanh(X @ W1 + b1)``, ...,
+``W1 -= lr * grad_W1``), so the weights and the final loss are bit for bit
+that loop's.
 """
 
 from __future__ import annotations
@@ -67,30 +74,55 @@ class MlpRegressor:
             raise FitError(f"X must be non-empty 2-D, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise FitError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+            raise FitError("training data contains non-finite values")
+        cfg = self.config
+        if cfg.hidden < 1:
+            raise FitError(f"hidden must be >= 1, got {cfg.hidden}")
+        if cfg.iters < 1:
+            raise FitError(f"iters must be >= 1, got {cfg.iters}")
+        if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0.0):
+            raise FitError(f"learning_rate must be a finite positive real, got {cfg.learning_rate!r}")
         n, d = X.shape
-        rng = np.random.default_rng(self.config.seed)
-        W1 = rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, self.config.hidden))
-        b1 = np.zeros(self.config.hidden)
-        w2 = rng.normal(0.0, 1.0 / math.sqrt(self.config.hidden), size=self.config.hidden)
+        h = cfg.hidden
+        rng = np.random.default_rng(cfg.seed)
+        # W1, b1 and w2 are views into one vector and their gradients into another,
+        # so that an update is one multiply and one subtract. Each view starts an
+        # even number of elements in, so it is as aligned as a fresh array.
+        o1 = d * h + d * h % 2
+        o2 = o1 + h + h % 2
+        params, grads = np.zeros(o2 + h), np.zeros(o2 + h)
+        W1, b1, w2 = params[:d * h].reshape(d, h), params[o1:o1 + h], params[o2:]
+        g_W1, g_b1, g_w2 = grads[:d * h].reshape(d, h), grads[o1:o1 + h], grads[o2:]
+        W1[...] = rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, h))
+        w2[...] = rng.normal(0.0, 1.0 / math.sqrt(h), size=h)
         b2 = 0.0
-        lr = self.config.learning_rate
-        loss = math.inf
-        for _ in range(self.config.iters):
-            H = np.tanh(X @ W1 + b1)
-            pred = H @ w2 + b2
-            resid = pred - y
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss = float(np.mean(resid**2))
-            if not math.isfinite(loss):
-                raise FitError("training loss became non-finite")
-            d_pred = (2.0 / n) * resid
-            grad_w2 = H.T @ d_pred
-            grad_b2 = float(d_pred.sum())
-            dH = np.outer(d_pred, w2) * (1.0 - H**2)
-            grad_W1 = X.T @ dH
-            grad_b1 = dH.sum(axis=0)
-            W1 -= lr * grad_W1
-            b1 -= lr * grad_b1
-            w2 -= lr * grad_w2
-            b2 -= lr * grad_b2
-        return FittedMlp(W1=W1, b1=b1, w2=w2, b2=b2, final_loss=loss)
+        lr = cfg.learning_rate
+        scale = 2.0 / n
+        H, dH, slope = np.empty((n, h)), np.empty((n, h)), np.empty((n, h))  # slope: 1 - H**2
+        pred, resid, sq = np.empty(n), np.empty(n), np.empty(n)
+        XT, HT, d_col = X.T, H.T, resid[:, None]
+        # a diverging fit overflows before its loss turns non-finite; the loss check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(cfg.iters):
+                np.matmul(X, W1, out=H)
+                np.add(H, b1, out=H)
+                np.tanh(H, out=H)
+                np.matmul(H, w2, out=pred)
+                np.add(pred, b2, out=pred)
+                np.subtract(pred, y, out=resid)
+                loss = float(np.add.reduce(np.square(resid, out=sq))) / n  # np.mean's sum, then its divide
+                if not math.isfinite(loss):
+                    raise FitError("training loss became non-finite")
+                np.multiply(scale, resid, out=resid)  # resid now holds d(loss)/d(pred)
+                np.matmul(HT, resid, out=g_w2)
+                g_b2 = float(np.add.reduce(resid))
+                np.multiply(d_col, w2, out=dH)
+                np.square(H, out=slope)
+                np.subtract(1.0, slope, out=slope)
+                np.multiply(dH, slope, out=dH)
+                np.matmul(XT, dH, out=g_W1)
+                np.add.reduce(dH, axis=0, out=g_b1)
+                params -= np.multiply(lr, grads, out=grads)
+                b2 -= lr * g_b2
+        return FittedMlp(W1=W1.copy(), b1=b1.copy(), w2=w2.copy(), b2=b2, final_loss=loss)

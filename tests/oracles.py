@@ -3,13 +3,23 @@
 These deliberately take the naive route: dense matrix inverses and
 determinants for the GP quantities, central finite differences for the
 gradient, and a full double-loop dominance scan for the Pareto front.
+``reference_mlp_fit`` and ``reference_objective`` are the plain-expression
+forms of the NN step loop and the GP ascent's objective and gradient, one
+temporary per operation, and ``reference_embed`` hashes every n-gram into a
+NumPy vector with no memo; the library's versions must match them bit for
+bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from peermatch.gp import KernelParams
+from peermatch.blas import dpotri, one_blas_thread
+from peermatch.gp import FitError, KernelParams, _add_to_diagonal, _factor
+from peermatch.hashing import stable_u64
+from peermatch.nn import FittedMlp, MlpConfig
 from peermatch.pareto import ScoreVector, dominates
 
 
@@ -81,3 +91,74 @@ def brute_force_front(candidates: list[ScoreVector], anchor: str) -> set[str]:
         if not any(dominates(other, c) for other in pool if other is not c):
             keep.add(c.learner_id)
     return keep
+
+
+@one_blas_thread()
+def reference_mlp_fit(X: np.ndarray, y: np.ndarray, config: MlpConfig) -> FittedMlp:
+    """Full-batch gradient descent on the one-hidden-layer tanh network, a fresh array per expression."""
+    n, d = X.shape
+    rng = np.random.default_rng(config.seed)
+    W1 = rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, config.hidden))
+    b1 = np.zeros(config.hidden)
+    w2 = rng.normal(0.0, 1.0 / math.sqrt(config.hidden), size=config.hidden)
+    b2 = 0.0
+    lr = config.learning_rate
+    loss = math.inf
+    for _ in range(config.iters):
+        H = np.tanh(X @ W1 + b1)
+        pred = H @ w2 + b2
+        resid = pred - y
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = float(np.mean(resid**2))
+        if not math.isfinite(loss):
+            raise FitError("training loss became non-finite")
+        d_pred = (2.0 / n) * resid
+        grad_w2 = H.T @ d_pred
+        grad_b2 = float(d_pred.sum())
+        dH = np.outer(d_pred, w2) * (1.0 - H**2)
+        grad_W1 = X.T @ dH
+        grad_b1 = dH.sum(axis=0)
+        W1 -= lr * grad_W1
+        b1 -= lr * grad_b1
+        w2 -= lr * grad_w2
+        b2 -= lr * grad_b2
+    return FittedMlp(W1=W1, b1=b1, w2=w2, b2=b2, final_loss=loss)
+
+
+@one_blas_thread()
+def reference_objective(D2: np.ndarray, y: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """MLL at log parameters theta and its GPML eq. 5.9 gradient, a fresh array per expression."""
+    params = KernelParams.from_log_vector(theta)
+    Krbf = params.signal_variance * np.exp(-D2 / (2.0 * params.lengthscale**2))
+    np.fill_diagonal(Krbf, params.signal_variance)
+    L, _, alpha, value = _factor(_add_to_diagonal(Krbf, params.noise_variance), y)
+    Kinv_lower, info = dpotri(L)
+    assert info == 0
+    Kinv_diag = np.diag(Kinv_lower)
+
+    def half_trace_w(M: np.ndarray) -> float:
+        kinv_dot_m = 2.0 * np.sum(Kinv_lower * M) - Kinv_diag @ np.diag(M)
+        return 0.5 * (alpha @ (M @ alpha) - kinv_dot_m)
+
+    gradient = np.array(
+        [
+            half_trace_w(Krbf),
+            half_trace_w(Krbf * (D2 / params.lengthscale**2)),
+            0.5 * (alpha @ alpha - Kinv_diag.sum()) * params.noise_variance,
+        ]
+    )
+    return value, gradient
+
+
+def reference_embed(text: str, dim: int = 32) -> np.ndarray:
+    """Signed feature hashing of the text's 1-, 2- and 3-grams, every hash computed afresh."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for n in (1, 2, 3):
+        for i in range(len(text) - n + 1):
+            h = stable_u64("ngram", "0", str(n), text[i : i + n])
+            sign = 1.0 if h & 1 else -1.0
+            vec[(h >> 1) % dim] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec

@@ -1,7 +1,12 @@
+import inspect
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+
+from peermatch import features
 
 from peermatch.backends import mock_correct_label
 from peermatch.corpus import ExerciseBlock, make_synthetic_corpus
@@ -18,6 +23,7 @@ from peermatch.features import (
 )
 from peermatch.personas import Learner, Persona, enumerate_personas
 from peermatch.protocol import ResponseRecord
+from oracles import reference_embed
 
 
 def _block(domain="blk", n=4):
@@ -53,6 +59,52 @@ class TestHashingEmbedder:
         pairs = [("ab", "ba"), ("aa", "aaa"), ("question one", "question two"), ("甲", "乙")]
         for t1, t2 in pairs:
             assert not np.allclose(emb.embed(t1), emb.embed(t2))
+
+
+TEXTS = st.lists(
+    st.one_of(
+        st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=60),
+        st.text(st.characters(min_codepoint=0x4E00, max_codepoint=0x9FFF), max_size=30),
+        st.text(max_size=40),
+        st.just(""),
+    ),
+    max_size=8,
+)
+
+
+class TestNgramMemo:
+    @given(texts=TEXTS, order_seed=st.integers(0, 2**16))
+    @example(texts=["", "a" * 2000, "双曲线的渐近线" * 3, "question one"], order_seed=0)
+    def test_memo_changes_no_bit(self, texts, order_seed):
+        emb = HashingEmbedder()
+        expected = {text: reference_embed(text).tobytes() for text in texts}
+        shuffled = list(texts) * 2
+        random.Random(order_seed).shuffle(shuffled)
+        for text in list(texts) + shuffled:
+            assert emb.embed(text).tobytes() == expected[text]
+
+    def test_long_text_matches_reference(self):
+        text = "".join(chr(0x4E00 + (i * 7919) % 0x5000) if i % 3 else chr(33 + i % 94) for i in range(2000))
+        assert HashingEmbedder().embed(text).tobytes() == reference_embed(text).tobytes()
+
+    def test_a_wrapped_stable_u64_sees_every_computed_hash(self, monkeypatch):
+        calls = []
+        original = features.stable_u64
+        monkeypatch.setattr(features, "stable_u64", lambda *parts: calls.append(parts) or original(*parts))
+        features._ngram_hash.cache_clear()
+        HashingEmbedder().embed("abab")
+        assert sorted(parts[3] for parts in calls) == ["a", "ab", "aba", "b", "ba", "bab"]
+        HashingEmbedder().embed("abab")
+        assert len(calls) == 6
+
+    def test_embed_stays_a_method_the_tracer_can_wrap(self, monkeypatch):
+        assert inspect.isfunction(vars(HashingEmbedder)["embed"])
+        seen = []
+        original = HashingEmbedder.embed
+        monkeypatch.setattr(HashingEmbedder, "embed", lambda self, text: seen.append(text) or original(self, text))
+        block = _block(n=2)
+        domain_vector(block, HashingEmbedder())
+        assert seen == [e.stem for e in block.exercises]
 
 
 def test_learner_short_vector_values():

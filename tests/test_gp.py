@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from peermatch import gp
+from peermatch.blas import one_blas_thread
 from peermatch.gp import (
     FitError,
     FittedGp,
@@ -19,7 +20,14 @@ from peermatch.gp import (
     SingularMatrixError,
 )
 from scipy.linalg import cho_solve
-from oracles import dense_mll, dense_mll_gradient, dense_covariance, dense_predict, finite_difference_gradient
+from oracles import (
+    dense_covariance,
+    dense_mll,
+    dense_mll_gradient,
+    dense_predict,
+    finite_difference_gradient,
+    reference_objective,
+)
 
 P = KernelParams(signal_variance=1.0, lengthscale=1.0, noise_variance=0.1)
 
@@ -163,6 +171,39 @@ class TestGradient:
         numeric = finite_difference_gradient(X, y, p)
         assert analytic[2] > 0
         assert numeric[2] > 0
+
+
+def _assert_same_objective(X, y, thetas):
+    """The ascent's objective and gradient equal the reference's bit for bit, one fit's buffers reused throughout."""
+    D2 = gp.pairwise_sqdist(X, X)
+    dist = gp._Distances(D2)
+    for theta in thetas:
+        expected_value, expected_gradient = reference_objective(D2, y, theta)
+        with one_blas_thread():
+            value, gradient = gp._objective(dist, y, theta)
+            got_gradient = gradient()
+        assert value == expected_value
+        assert np.array_equal(got_gradient, expected_gradient)
+
+
+class TestBufferedObjective:
+    @pytest.mark.parametrize("n, d", [(1, 1), (3, 2), (216, 36)])
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_matches_the_reference_bit_for_bit(self, n, d, seed):
+        rng = np.random.default_rng(10 * seed + n)
+        X = 0.3 * rng.standard_normal((n, d))
+        y = rng.standard_normal(n)
+        _assert_same_objective(X, y, [rng.uniform(-2.0, 2.0, 3) for _ in range(4)])
+
+    @given(
+        n=st.integers(1, 30),
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        thetas=st.lists(st.tuples(*[st.floats(-3.0, 3.0)] * 3), min_size=1, max_size=3),
+    )
+    def test_matches_the_reference_on_any_shape(self, n, d, seed, thetas):
+        rng = np.random.default_rng(seed)
+        _assert_same_objective(rng.standard_normal((n, d)), rng.standard_normal(n), [np.array(t) for t in thetas])
 
 
 def _sample_from(params, X, rng):

@@ -1,10 +1,16 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from peermatch.features import HashingEmbedder
 from peermatch.gp import FitError
 from peermatch.nn import MlpConfig, MlpRegressor
 from peermatch.personas import enumerate_personas
+from oracles import reference_mlp_fit
 
 
 def _pattern_dataset():
@@ -58,6 +64,92 @@ def test_divergent_training_raises():
     X, y = _pattern_dataset()
     with pytest.raises(FitError, match="non-finite"):
         MlpRegressor(MlpConfig(learning_rate=1e9, iters=50)).fit(X, y * 1e6)
+
+
+@pytest.mark.parametrize("bad", ["X", "y"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_training_data_raises_before_the_first_step(bad, value):
+    X, y = _pattern_dataset()
+    if bad == "X":
+        X[3, 5] = value
+    else:
+        y[7] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match="training data contains non-finite values"):
+            MlpRegressor(MlpConfig(iters=10)).fit(X, y)
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (MlpConfig(hidden=0), "hidden"),
+        (MlpConfig(hidden=-3), "hidden"),
+        (MlpConfig(iters=0), "iters"),
+        (MlpConfig(iters=-1), "iters"),
+        (MlpConfig(learning_rate=0.0), "learning_rate"),
+        (MlpConfig(learning_rate=-0.1), "learning_rate"),
+        (MlpConfig(learning_rate=math.nan), "learning_rate"),
+        (MlpConfig(learning_rate=math.inf), "learning_rate"),
+    ],
+)
+def test_bad_config_raises_before_the_first_step(config, message):
+    X, y = _pattern_dataset()
+    with pytest.raises(FitError, match=message):
+        MlpRegressor(config).fit(X, y)
+
+
+def _assert_same_fit(X, y, config):
+    try:
+        expected = reference_mlp_fit(X, y, config)
+    except FitError as exc:
+        with pytest.raises(FitError, match=f"^{exc}$"):
+            MlpRegressor(config).fit(X, y)
+        return
+    got = MlpRegressor(config).fit(X, y)
+    for name in ("W1", "b1", "w2"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+    assert got.b2 == expected.b2
+    assert got.final_loss == expected.final_loss
+
+
+@pytest.mark.parametrize("n, d, hidden", [(1, 1, 1), (3, 2, 1), (216, 36, 16)])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_buffered_steps_match_the_reference_loop_bit_for_bit(n, d, hidden, seed):
+    rng = np.random.default_rng(100 * seed + n)
+    X = rng.standard_normal((n, d))
+    y = 0.3 * rng.standard_normal(n)
+    _assert_same_fit(X, y, MlpConfig(hidden=hidden, iters=300, seed=seed))
+
+
+def test_full_length_fit_on_pattern_data_matches_the_reference_loop():
+    X, y = _pattern_dataset()
+    _assert_same_fit(X, y, MlpConfig(seed=3))
+
+
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 8),
+    hidden=st.integers(1, 12),
+    iters=st.integers(1, 40),
+    learning_rate=st.floats(0.01, 8.0),
+    seed=st.integers(0, 2**16),
+)
+def test_buffered_steps_match_the_reference_loop_on_any_shape(n, d, hidden, iters, learning_rate, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    y = rng.standard_normal(n)
+    _assert_same_fit(X, y, MlpConfig(hidden=hidden, learning_rate=learning_rate, iters=iters, seed=seed))
+
+
+def test_diverging_fit_raises_as_the_reference_loop_does():
+    X, y = _pattern_dataset()
+    config = MlpConfig(learning_rate=1e9, iters=50)
+    with pytest.raises(FitError) as expected:
+        reference_mlp_fit(X, y * 1e6, config)
+    with pytest.raises(FitError) as got:
+        MlpRegressor(config).fit(X, y * 1e6)
+    assert str(got.value) == str(expected.value) == "training loss became non-finite"
 
 
 def test_shape_validation():
