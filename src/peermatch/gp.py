@@ -159,9 +159,9 @@ def _objective(dist: _Distances, y: np.ndarray, theta: np.ndarray) -> tuple[floa
     alpha, so a caller that rejects theta pays for one factorization only.
     The kernel matrix is built from ``dist.neg``, negated once per fit, and
     the gradient forms its two n x n products in ``dist``'s buffers, so it
-    must be called before the next evaluation on the same ``dist``. Every
-    floating-point operation and its order are those of GPML Alg. 2.1 and
-    eq. 5.9 as written out below; only temporaries are saved.
+    must be called before the next evaluation on the same ``dist``. The
+    buffers save temporaries only: every floating-point operation of GPML
+    Alg. 2.1 and eq. 5.9, and its order, is that of the plain expressions.
     """
     params = KernelParams.from_log_vector(theta)
     Krbf = _kernel_matrix(dist.neg, params)
