@@ -18,7 +18,7 @@ from .corpus import (
     save_corpus,
 )
 from .harness import (
-    CONFIG_KEYS,
+    BACKEND_KINDS,
     ConfigError,
     VariantConfig,
     build_backend,
@@ -76,6 +76,8 @@ def _read_config(args) -> tuple[list[VariantConfig], str | None, LiveConfig | No
     if "live" in raw:
         live = LiveConfig(**obj(raw["live"], "live", [f.name for f in fields(LiveConfig)], _required(LiveConfig)))
         check_types(live, f"{path}: live")
+        if live.timeout_s <= 0:
+            raise ConfigError(f"{path}: live: timeout_s must be a positive number, got {live.timeout_s!r}")
     shared = {key: raw[key] for key in ("seed", "backend", "train_domains") if key in raw}
     for key, value in obj(raw.get("mock", {}), "mock", MOCK_KEYS).items():
         # an int in float range becomes a float (1 and 1.0 name the same mock); validate() rejects any other value
@@ -88,9 +90,9 @@ def _read_config(args) -> tuple[list[VariantConfig], str | None, LiveConfig | No
     variants = raw["variants"] if suite else [raw["variant"]]
     if not isinstance(variants, list):
         raise ConfigError(f"{path}: variants must be a list of objects, got {variants!r}")
-    required = _required(VariantConfig)
+    variant_keys, required = [f.name for f in fields(VariantConfig)], _required(VariantConfig)
     return [
-        VariantConfig(**{**shared, **obj(v, f"variants[{i}]" if suite else "variant", CONFIG_KEYS, required), **flags})
+        VariantConfig(**{**shared, **obj(v, f"variants[{i}]" if suite else "variant", variant_keys, required), **flags})
         for i, v in enumerate(variants)
     ], raw.get("corpus"), live
 
@@ -198,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one variant from a config file")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--backend", choices=("mock", "cache", "live"), default=None)
+    p_sim.add_argument("--backend", choices=BACKEND_KINDS, default=None)
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(fn=_cmd_simulate)
 
     p_suite = sub.add_parser("suite", help="run the full variant suite and write reports")
     p_suite.add_argument("--config", default=None)
     p_suite.add_argument("--seed", type=int, default=None)
-    p_suite.add_argument("--backend", choices=("mock", "cache", "live"), default=None)
+    p_suite.add_argument("--backend", choices=BACKEND_KINDS, default=None)
     p_suite.add_argument("--out", required=True)
     p_suite.set_defaults(fn=_cmd_suite)
 

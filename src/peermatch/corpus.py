@@ -85,20 +85,17 @@ def category_for_domain(domain: str) -> str:
     return mapping[domain]
 
 
-def _read_rows(path: Path, domain_from_name: str | None) -> list[tuple[str, dict]]:
+def _read_rows(path: Path, domain_column: bool) -> list[tuple[str, dict]]:
+    """(domain, row) pairs; with ``domain_column``, a ``domain`` column names each row's domain, else the stem does."""
     with open(path, encoding="utf-8-sig", newline="") as f:
         reader = csv.DictReader(f)
         fields = reader.fieldnames or []
-        required = ["id", "question", *OPTION_COLUMNS, "answer"]
-        if domain_from_name is None:
-            required.append("domain")
-        missing = [c for c in required if c not in fields]
+        missing = [c for c in ("id", "question", *OPTION_COLUMNS, "answer") if c not in fields]
         if missing:
             raise CorpusError(f"{path}: missing column(s) {missing}")
-        return [
-            (domain_from_name if domain_from_name is not None else (row.get("domain") or "").strip(), row)
-            for row in reader
-        ]
+        if domain_column and "domain" in fields:
+            return [((row.get("domain") or "").strip(), row) for row in reader]
+        return [(path.stem, row) for row in reader]
 
 
 def load_corpus(path: str | Path) -> list[Exercise]:
@@ -113,19 +110,16 @@ def load_corpus(path: str | Path) -> list[Exercise]:
         files = sorted(p for p in path.iterdir() if p.suffix == ".csv")
         if not files:
             raise CorpusError(f"{path}: no .csv files")
-        batches = [(p, p.stem) for p in files]
+        batches = [(p, False) for p in files]
     elif path.is_file():
-        with open(path, encoding="utf-8-sig", newline="") as f:
-            header_fields = next(csv.reader(f), [])
-        domain_from_name = None if "domain" in header_fields else path.stem
-        batches = [(path, domain_from_name)]
+        batches = [(path, True)]
     else:
         raise CorpusError(f"{path}: not a file or directory")
 
     exercises: list[Exercise] = []
     counters: dict[str, int] = {}
-    for file_path, domain_from_name in batches:
-        for row_no, (domain, row) in enumerate(_read_rows(file_path, domain_from_name)):
+    for file_path, domain_column in batches:
+        for row_no, (domain, row) in enumerate(_read_rows(file_path, domain_column)):
             where = f"{file_path.name}, row {row_no}"
             if not domain:
                 raise CorpusError(f"{where}: empty domain")

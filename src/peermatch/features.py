@@ -19,6 +19,8 @@ from .hashing import stable_u64
 from .personas import Learner, Persona
 from .protocol import ResponseRecord
 
+GAIN_BASELINES = ("self", "partner")  # whose solo score pair_gain subtracts
+
 
 class CoverageError(ValueError):
     """A record set does not cover exactly the exercises it must."""
@@ -139,7 +141,7 @@ def pair_gain(
     the partner's solo score instead. The pair's records and the baseline
     learner's solo records must cover every exercise of the block.
     """
-    if baseline not in ("self", "partner"):
+    if baseline not in GAIN_BASELINES:
         raise ValueError(f"unknown baseline {baseline!r}")
     base_learner = learner.id if baseline == "self" else partner.id
     paired, solo = scores.get((learner.id, partner.id), {}), scores.get((base_learner, None), {})

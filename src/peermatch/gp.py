@@ -348,7 +348,8 @@ class GpRegressor:
         """Fit hyperparameters by maximum log marginal likelihood.
 
         Runs ascent from the configured init plus ``restarts`` seeded draws and
-        keeps the run with the highest final objective.
+        keeps the run with the highest final objective; bad data or settings
+        raise ``FitError`` before the first evaluation.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -358,16 +359,25 @@ class GpRegressor:
             raise FitError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise FitError("training data contains non-finite values")
+        cfg = self.config
+        for name in ("restarts", "max_iters"):
+            if getattr(cfg, name) < 0:
+                raise FitError(f"{name} must be >= 0, got {getattr(cfg, name)}")
+        if not cfg.tol >= 0.0:
+            raise FitError(f"tol must be a non-negative real, got {cfg.tol!r}")
+        init = cfg.init if isinstance(cfg.init, (tuple, list)) and len(cfg.init) == 3 else ()
+        if not (init and all(isinstance(v, (int, float)) and 0.0 < v < math.inf for v in init)):
+            raise FitError(f"init must be three finite positive reals, got {cfg.init!r}")
 
         dist = _Distances(pairwise_sqdist(X, X))
-        rng = np.random.default_rng(self.config.seed)
-        starts = [np.log(np.asarray(self.config.init, dtype=np.float64))]
-        for _ in range(self.config.restarts):
+        rng = np.random.default_rng(cfg.seed)
+        starts = [np.log(np.asarray(init, dtype=np.float64))]
+        for _ in range(cfg.restarts):
             starts.append(rng.uniform(-2.0, 2.0, size=3))
 
         best_value, best_theta, best_path = -np.inf, None, []
         for theta0 in starts:
-            value, theta, path = _ascend(dist, y, theta0, self.config)
+            value, theta, path = _ascend(dist, y, theta0, cfg)
             if value > best_value:
                 best_value, best_theta, best_path = value, theta, path
         if best_theta is None or not math.isfinite(best_value):

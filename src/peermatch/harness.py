@@ -13,7 +13,7 @@ import json
 import logging
 import random
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -30,7 +30,7 @@ from .backends import (
 )
 from .blas import lapack_available
 from .corpus import Exercise, ExerciseBlock, group_by_domain, make_synthetic_corpus
-from .features import EmbeddingProvider, HashingEmbedder, ScoreIndex, build_dataset, index_scores
+from .features import GAIN_BASELINES, EmbeddingProvider, HashingEmbedder, ScoreIndex, build_dataset, index_scores
 from .gp import GpFitConfig, GpRegressor
 from .hashing import stable_u64
 from .metrics import (
@@ -45,6 +45,8 @@ from .metrics import (
 )
 from .nn import MlpConfig, MlpRegressor
 from .pareto import (
+    FRONT_MODES,
+    SELECTION_RULES,
     ParetoFront,
     dump_front,
     local_candidates,
@@ -60,13 +62,13 @@ from .writer import write_file
 log = logging.getLogger(__name__)
 
 REGRESSOR_KINDS = ("none", "gp", "nn")
-PARETO_MODES = ("none", "global", "local")
 BACKEND_KINDS = ("mock", "cache", "live")
 REQUIRED_TEST_CATEGORIES = CATEGORY_ORDER[:-1]  # every report category but "Total"
 
-# Lighter than the library-wide fit defaults so a full 7-variant suite stays
-# within its runtime budget; recovery-grade fits use GpFitConfig() directly.
+# Every matched variant fits with these, seeded with its own seed. The GP fit is lighter than the
+# recovery-grade library default, GpFitConfig(), so a 7-variant suite stays in its runtime budget.
 SUITE_GP_FIT = GpFitConfig(restarts=1, max_iters=100, tol=1e-6)
+SUITE_NN_FIT = MlpConfig()
 
 
 class ConfigError(ValueError):
@@ -112,8 +114,6 @@ class VariantConfig:
     mock_bonus: float = 0.3
     selection_rule: str = "mean"
     gain_baseline: str = "self"
-    gp_fit: GpFitConfig = field(default_factory=lambda: SUITE_GP_FIT)
-    nn_fit: MlpConfig = field(default_factory=MlpConfig)
 
     def __post_init__(self) -> None:
         if not isinstance(self.train_domains, (list, tuple)):
@@ -130,12 +130,15 @@ class VariantConfig:
             raise ConfigError(f"{self.name}: seed must be non-negative, got {self.seed}")
         if not all(isinstance(domain, str) for domain in self.train_domains):
             raise ConfigError(f"{self.name}: train_domains must be domain names, got {list(self.train_domains)!r}")
-        if self.regressor not in REGRESSOR_KINDS:
-            raise ConfigError(f"{self.name}: unknown regressor {self.regressor!r}")
-        if self.pareto not in PARETO_MODES:
-            raise ConfigError(f"{self.name}: unknown pareto mode {self.pareto!r}")
-        if self.backend not in BACKEND_KINDS:
-            raise ConfigError(f"{self.name}: unknown backend {self.backend!r}")
+        for key, what, allowed in (
+            ("regressor", "regressor", REGRESSOR_KINDS),
+            ("pareto", "pareto mode", ("none", *FRONT_MODES)),
+            ("backend", "backend", BACKEND_KINDS),
+            ("selection_rule", "selection rule", SELECTION_RULES),
+            ("gain_baseline", "gain baseline", GAIN_BASELINES),
+        ):
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"{self.name}: unknown {what} {getattr(self, key)!r}")
         if self.regressor != "none" and not self.co_learning:
             raise ConfigError(f"{self.name}: a regressor requires co_learning")
         if self.pareto != "none" and self.regressor == "none":
@@ -149,17 +152,6 @@ class VariantConfig:
                 f"{self.name}: the gp regressor needs SciPy where NumPy bundles no OpenBLAS with LAPACKE "
                 "dpotrs, dpotri and dtrtrs; install scipy"
             )
-        if self.selection_rule not in ("mean", "poi"):
-            raise ConfigError(f"{self.name}: unknown selection rule {self.selection_rule!r}")
-        if self.gain_baseline not in ("self", "partner"):
-            raise ConfigError(f"{self.name}: unknown gain baseline {self.gain_baseline!r}")
-
-    def echo(self) -> dict:
-        return {key: getattr(self, key) for key in CONFIG_KEYS}
-
-
-# Config-file and results.json keys: every field except the fit settings.
-CONFIG_KEYS = tuple(f.name for f in fields(VariantConfig) if f.name not in ("gp_fit", "nn_fit"))
 
 
 @dataclass(frozen=True)
@@ -450,7 +442,7 @@ def run_variant(
 
         dataset_key = ("dataset", backend.name, cfg.train_domains, cfg.gain_baseline)
         X, y = work.once(dataset_key, dataset)
-        regressor, fit_cfg = (GpRegressor, cfg.gp_fit) if cfg.regressor == "gp" else (MlpRegressor, cfg.nn_fit)
+        regressor, fit_cfg = (GpRegressor, SUITE_GP_FIT) if cfg.regressor == "gp" else (MlpRegressor, SUITE_NN_FIT)
         fit_cfg = replace(fit_cfg, seed=cfg.seed)
         fitted = work.once(("fit", cfg.regressor, fit_cfg, dataset_key), lambda: regressor(fit_cfg).fit(X, y))
         if out is not None:
@@ -587,7 +579,7 @@ def run_suite(
         "baseline": baselines[0],
         "variants": [
             {
-                "config": res.config.echo(),
+                "config": asdict(res.config),
                 "per_learner": res.per_learner,
                 "lp_fallbacks": res.lp_fallbacks,
                 "selections": [

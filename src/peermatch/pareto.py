@@ -21,6 +21,9 @@ from .gp import FittedRegressor
 from .personas import Learner
 from .writer import write_file
 
+FRONT_MODES = ("global", "local")
+SELECTION_RULES = ("mean", "poi")
+
 
 class DomainMismatchError(ValueError):
     """Two score vectors cover different domain sets."""
@@ -69,8 +72,8 @@ class ParetoFront:
     members: tuple[ScoreVector, ...]
 
     def __post_init__(self) -> None:
-        if self.mode not in ("global", "local"):
-            raise ValueError(f"mode must be 'global' or 'local', got {self.mode!r}")
+        if self.mode not in FRONT_MODES:
+            raise ValueError(f"mode must be one of {FRONT_MODES}, got {self.mode!r}")
         if any(m.learner_id == self.anchor for m in self.members):
             raise ValueError("front members must exclude the anchor")
 
@@ -160,7 +163,7 @@ def rank_candidates(
     probability that the gain is positive, Phi(mean / std). Point predictors
     with zero variance degenerate to a 0/0.5/1 step under "poi".
     """
-    if rule not in ("mean", "poi"):
+    if rule not in SELECTION_RULES:
         raise ValueError(f"unknown selection rule {rule!r}")
     dvec = domain_vector(block, emb)
     scored = []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from peermatch.backends import MockBackend
 from peermatch.cli import main
 from peermatch.corpus import fixture_corpus_path
+from peermatch.harness import ConfigError, VariantConfig
 
 
 def test_ingest_fixture(tmp_path, capsys):
@@ -121,6 +122,9 @@ def _no_backend_call(backend, prompt, params):
         # the fit's random generator takes no negative seed, and the fit runs only after the train phase's calls
         ({"corpus": "fixture"}, {"co_learning": True, "regressor": "gp", "pareto": "global", "seed": -1,
                                  "train_domains": ["logical"]}, "solo: seed must be non-negative, got -1"),
+        # urllib takes a negative timeout as out of range and 0 as non-blocking: both failed only at the first call
+        ({"live": {"base_url": "http://127.0.0.1:9", "model": "m", "timeout_s": 0}}, {},
+         "live: timeout_s must be a positive number, got 0"),
     ],
 )
 def test_simulate_rejects_mistyped_values(tmp_path, capsys, monkeypatch, top, variant, message):
@@ -129,6 +133,26 @@ def test_simulate_rejects_mistyped_values(tmp_path, capsys, monkeypatch, top, va
     assert main(["simulate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "key, what",
+    [
+        ("regressor", "regressor"),
+        ("pareto", "pareto mode"),
+        ("backend", "backend"),
+        ("selection_rule", "selection rule"),
+        ("gain_baseline", "gain baseline"),
+    ],
+)
+def test_a_value_outside_its_allowed_set_is_named(tmp_path, capsys, monkeypatch, key, what):
+    message = f"solo: unknown {what} 'x'"
+    with pytest.raises(ConfigError) as info:
+        VariantConfig(**_SOLO, **{key: "x"}).validate()
+    assert str(info.value) == message
+    monkeypatch.setattr(MockBackend, "complete", _no_backend_call)
+    assert main(["simulate", "--config", str(_variant_config(tmp_path, {key: "x"}))]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -167,6 +191,7 @@ def test_unusable_out_fails_before_any_backend_call(tmp_path, capsys, monkeypatc
 
 
 _LIVE = {"base_url": "http://127.0.0.1:9", "model": "m"}
+_SOLO = {"name": "solo", "role_setting": True, "co_learning": False}
 
 
 @pytest.mark.parametrize(
@@ -183,6 +208,11 @@ _LIVE = {"base_url": "http://127.0.0.1:9", "model": "m"}
         ("suite", json.dumps({"live": {**_LIVE, "base_url": 5}}), "live: base_url must be str"),
         ("suite", json.dumps({"live": {**_LIVE, "timeout_s": "x"}}), "live: timeout_s must be float"),
         ("suite", json.dumps({"live": {**_LIVE, "token_env": None}}), "live: token_env must be str"),
+        ("simulate", json.dumps({"live": {**_LIVE, "timeout_s": -1}, "variant": {**_SOLO, "backend": "live"}}),
+         "live: timeout_s must be a positive number, got -1"),
+        # fit settings are library constants, not config keys
+        ("simulate", json.dumps({"variant": {**_SOLO, "gp_fit": {"restarts": 0}}}), "variant: unknown key(s) ['gp_fit']"),
+        ("suite", json.dumps({"variants": [{**_SOLO, "nn_fit": {}}]}), "variants[0]: unknown key(s) ['nn_fit']"),
         ("suite", "[1, 2]", "the top level must be an object"),
         ("suite", "null", "the top level must be an object"),
         ("suite", '{"variant": {}}', "the top level: unknown key(s) ['variant']"),

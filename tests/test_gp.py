@@ -259,6 +259,39 @@ class TestFit:
         with pytest.raises(FitError):
             GpRegressor().fit(np.array([[np.inf]]), np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (GpFitConfig(restarts=-1), "restarts must be >= 0, got -1"),
+            (GpFitConfig(max_iters=-1), "max_iters must be >= 0, got -1"),
+            (GpFitConfig(tol=math.nan), "tol must be a non-negative real, got nan"),
+            (GpFitConfig(tol=-1e-7), "tol must be a non-negative real, got -1e-07"),
+            (GpFitConfig(init=(1.0, 0.0, 0.1)), "init must be three finite positive reals, got (1.0, 0.0, 0.1)"),
+            (GpFitConfig(init=(1.0, 1.0, -0.1)), "init must be three finite positive reals, got (1.0, 1.0, -0.1)"),
+            (GpFitConfig(init=(math.inf, 1.0, 0.1)), "init must be three finite positive reals, got (inf, 1.0, 0.1)"),
+            (GpFitConfig(init=(1.0, math.nan, 0.1)), "init must be three finite positive reals, got (1.0, nan, 0.1)"),
+            (GpFitConfig(init=(1.0, 1.0)), "init must be three finite positive reals, got (1.0, 1.0)"),
+            (GpFitConfig(init="abc"), "init must be three finite positive reals, got 'abc'"),
+        ],
+        ids=["restarts", "max_iters", "nan-tol", "negative-tol", "zero-init", "negative-init", "inf-init",
+             "nan-init", "two-init", "string-init"],
+    )
+    def test_bad_config_raises_before_the_first_evaluation(self, monkeypatch, config, message):
+        def no_evaluation(*args):
+            raise AssertionError("a bad config must stop the fit before the first evaluation")
+
+        monkeypatch.setattr(gp, "_objective", no_evaluation)
+        rng = np.random.default_rng(0)
+        with pytest.raises(FitError) as info:
+            GpRegressor(config).fit(rng.standard_normal((6, 2)), rng.standard_normal(6))
+        assert str(info.value) == message
+
+    def test_zero_iterations_and_tolerance_are_accepted(self):
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((6, 2)), rng.standard_normal(6)
+        assert len(GpRegressor(GpFitConfig(restarts=0, max_iters=0)).fit(X, y).trace) == 1
+        assert GpRegressor(GpFitConfig(restarts=0, max_iters=5, tol=0.0)).fit(X, y).mll > -math.inf
+
 
 class TestPredict:
     def test_far_point_reverts_to_prior(self):

@@ -5,8 +5,9 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -17,7 +18,6 @@ from peermatch.gp import GpFitConfig
 from peermatch.harness import (
     ConfigError,
     DEFAULT_TRAIN_DOMAINS,
-    SUITE_GP_FIT,
     VariantConfig,
     default_suite_configs,
     default_synthetic_corpus,
@@ -36,6 +36,13 @@ FAST_GP = GpFitConfig(restarts=0, max_iters=30, tol=1e-5)
 FAST_NN = MlpConfig(iters=300)
 
 
+@pytest.fixture
+def fast_fits(monkeypatch):
+    """Every matched variant the test runs fits the quick GP and the quick NN."""
+    monkeypatch.setattr(harness, "SUITE_GP_FIT", FAST_GP)
+    monkeypatch.setattr(harness, "SUITE_NN_FIT", FAST_NN)
+
+
 def small_corpus(per_domain=3):
     return default_synthetic_corpus(per_domain=per_domain)
 
@@ -46,8 +53,6 @@ def cfg_with(name, **kw):
         co_learning=True,
         seed=3,
         train_domains=("number_theory", "market_research", "modern_poetry"),
-        gp_fit=FAST_GP,
-        nn_fit=FAST_NN,
     )
     defaults.update(kw)
     return VariantConfig(name=name, **defaults)
@@ -188,6 +193,7 @@ class TestConfigLattice:
         ).per_learner
 
 
+@pytest.mark.usefixtures("fast_fits")
 class TestMatchedVariants:
     def test_gp_variant_records_selections_and_fronts(self, tmp_path):
         cfg = cfg_with("gp-global", regressor="gp", pareto="global")
@@ -268,6 +274,7 @@ def test_resolve_front_local_mode_with_history():
     assert front.member_ids == ("L5",)
 
 
+@pytest.mark.usefixtures("fast_fits")
 class TestSuite:
     def _tiny_configs(self, seed=3):
         shared = dict(seed=seed, train_domains=("number_theory", "market_research", "modern_poetry"))
@@ -276,7 +283,7 @@ class TestSuite:
             VariantConfig(name="solo", role_setting=True, co_learning=False, **shared),
             VariantConfig(
                 name="gp-global", role_setting=True, co_learning=True, regressor="gp",
-                pareto="global", gp_fit=FAST_GP, **shared,
+                pareto="global", **shared,
             ),
         ]
 
@@ -291,6 +298,13 @@ class TestSuite:
         assert (tmp_path / "results.json").exists()
         assert suite.gain_text.splitlines()[1].startswith("baseline")
 
+    def test_results_echo_exactly_the_config_fields(self, tmp_path):
+        configs = self._tiny_configs()
+        run_suite(configs, small_corpus(), out_dir=tmp_path)
+        echoed = [v["config"] for v in json.loads((tmp_path / "results.json").read_text("utf-8"))["variants"]]
+        assert [sorted(c) for c in echoed] == [sorted(f.name for f in fields(VariantConfig))] * len(configs)
+        assert [c["train_domains"] for c in echoed] == [list(cfg.train_domains) for cfg in configs]
+
     def test_suite_requires_baseline(self):
         configs = self._tiny_configs()[1:]
         with pytest.raises(ConfigError, match="baseline"):
@@ -300,7 +314,7 @@ class TestSuite:
         configs = self._tiny_configs()
         bad = VariantConfig(
             name="broken", role_setting=True, co_learning=True, regressor="gp", pareto="global",
-            seed=3, train_domains=("missing-domain",), gp_fit=FAST_GP,
+            seed=3, train_domains=("missing-domain",),
         )
         with pytest.raises(ConfigError, match="broken"):
             run_suite(configs + [bad], small_corpus())
@@ -363,7 +377,6 @@ def test_default_suite_configs_match_component_matrix():
     ]
     for cfg in configs:
         cfg.validate()
-    assert configs[3].gp_fit == SUITE_GP_FIT
 
 
 def test_default_suite_configs_share_variant_defaults():
@@ -396,21 +409,21 @@ TRANSCRIPT_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", list(TRANSCRIPT_DIGESTS))
-def test_transcript_bytes_match_recorded_digests(name, tmp_path):
+def test_transcript_bytes_match_recorded_digests(name, tmp_path, fast_fits):
     n_lines, whole, digest = TRANSCRIPT_DIGESTS[name]
     cfg = next(c for c in default_suite_configs(seed=42) if c.name == name)
-    res = run_variant(replace(cfg, gp_fit=FAST_GP), default_synthetic_corpus(), out_dir=tmp_path)
+    res = run_variant(cfg, default_synthetic_corpus(), out_dir=tmp_path)
     lines = (tmp_path / res.artifacts["transcript"]).read_bytes().splitlines(keepends=True)
     if whole:
         assert len(lines) == n_lines
     assert hashlib.sha256(b"".join(lines[:n_lines])).hexdigest() == digest
 
 
-def test_local_fronts_group_records_by_block_not_exercise_id(tmp_path):
+def test_local_fronts_group_records_by_block_not_exercise_id(tmp_path, fast_fits):
     # ids that carry no domain: a local front must take domains from the blocks
     corpus = [replace(e, id=f"item-{i}") for i, e in enumerate(small_corpus())]
     cfg = next(c for c in default_suite_configs(seed=42) if c.name == "gp-local")
-    res = run_variant(replace(cfg, gp_fit=FAST_GP), corpus, out_dir=tmp_path)
+    res = run_variant(cfg, corpus, out_dir=tmp_path)
     assert res.lp_fallbacks == 0
     dumps = json.loads((tmp_path / res.artifacts["fronts"]).read_text("utf-8"))
     assert dumps
@@ -438,7 +451,7 @@ TRAIN_PHASE_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", list(TRAIN_PHASE_DIGESTS))
-def test_train_phase_bytes_match_recorded_digests(name, tmp_path, monkeypatch):
+def test_train_phase_bytes_match_recorded_digests(name, tmp_path, monkeypatch, fast_fits):
     rows = []
     build = harness.build_dataset
 
@@ -452,7 +465,7 @@ def test_train_phase_bytes_match_recorded_digests(name, tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "build_dataset", recording_build)
     cfg = next(c for c in default_suite_configs(seed=42) if c.name == name)
-    res = run_variant(replace(cfg, gp_fit=FAST_GP), default_synthetic_corpus(), out_dir=tmp_path)
+    res = run_variant(cfg, default_synthetic_corpus(), out_dir=tmp_path)
     dumps = json.loads((tmp_path / res.artifacts["fronts"]).read_text("utf-8"))
     for dump in dumps:
         del dump["chosen"]
@@ -469,7 +482,7 @@ class TestSharedWork:
     """A suite computes each call, protocol job, fit and embedding once, and
     every variant still gets what it would get run on its own."""
 
-    def test_each_variant_matches_its_standalone_run(self, tmp_path):
+    def test_each_variant_matches_its_standalone_run(self, tmp_path, fast_fits):
         gp_global = cfg_with("gp-global", regressor="gp", pareto="global")
         configs = [
             cfg_with("baseline", role_setting=False, co_learning=False),
@@ -480,7 +493,6 @@ class TestSharedWork:
             replace(gp_global, name="other-bonus", mock_bonus=0.1),
             replace(gp_global, name="other-train",
                     train_domains=("circuit_design", "urban_geography", "formal_logic")),
-            replace(gp_global, name="other-fit", gp_fit=replace(FAST_GP, max_iters=5)),
             replace(gp_global, name="nn-global", regressor="nn"),
         ]
         suite = run_suite(configs, small_corpus(), out_dir=tmp_path / "suite")
@@ -511,8 +523,9 @@ class TestSharedWork:
             jobs[learner.id, partner.id, exercise.id, True] += 1
             return exchange(learner, partner, exercise, backend, **kwargs)
 
-        configs = [replace(cfg, gp_fit=FAST_GP) for cfg in default_suite_configs(seed=42, backend=backend)]
+        configs = default_suite_configs(seed=42, backend=backend)
         with monkeypatch.context() as patch:
+            patch.setattr(harness, "SUITE_GP_FIT", FAST_GP)
             patch.setattr(MockBackend, "complete", counted)
             patch.setattr(harness, "solve_exercise", counted_solve)
             patch.setattr(harness, "exchange_and_resolve", counted_exchange)
@@ -544,11 +557,11 @@ class TestSharedWork:
         assert sum(1 for p in (tmp_path / "cache" / "cache").rglob("*") if p.is_file()) == len(calls)
 
 
-def test_interrupted_cache_suite_resumes_exactly(tmp_path, monkeypatch):
+def test_interrupted_cache_suite_resumes_exactly(tmp_path, monkeypatch, fast_fits):
     """A cache suite stopped by a failed call, rerun with the same out dir,
     pays only for the calls it had not made and writes the same bytes as an
     uninterrupted run."""
-    configs = [replace(cfg, gp_fit=FAST_GP, nn_fit=FAST_NN) for cfg in default_suite_configs(seed=7, backend="cache")]
+    configs = default_suite_configs(seed=7, backend="cache")
     paid, fail_after, variant_starts = [0], [None], {}
     complete, run_one = MockBackend.complete, harness.run_variant
 
@@ -586,9 +599,9 @@ def test_interrupted_cache_suite_resumes_exactly(tmp_path, monkeypatch):
 
 
 def _fast_gp_suite(out_dir):
-    """The seed-42 default suite with the quick GP fit, written to ``out_dir``."""
-    configs = [replace(cfg, gp_fit=FAST_GP) for cfg in default_suite_configs(seed=42)]
-    return run_suite(configs, default_synthetic_corpus(), out_dir=out_dir)
+    """The seed-42 default suite with the quick GP fit and the default NN fit, written to ``out_dir``."""
+    with mock.patch.object(harness, "SUITE_GP_FIT", FAST_GP):
+        return run_suite(default_suite_configs(seed=42), default_synthetic_corpus(), out_dir=out_dir)
 
 
 # The partner each matched variant chose for every (learner, test domain) of
