@@ -18,6 +18,9 @@
 # `circuit_design` hinges on a margin of 8.0e-6, so a last-bit change in the NN
 # fit shows in its `results.json` and transcripts, not only in its model files.
 # The exit status is that of `diff -r`: 0 when both trees wrote the same bytes.
+# On a difference the script prints `diff -rq`, then at most the first 20 lines
+# of `diff` for each differing file, since one changed byte in the transcript
+# renderer would otherwise print every line of every transcript.
 # Before the diff, the script exits 1, naming the files, if either output tree
 # holds a leftover `*.tmp` file: every write lands through a temp file and a
 # rename, so one left behind is a write that was not cleaned up.
@@ -90,4 +93,13 @@ if [ -n "$leftovers" ]; then
     echo "$leftovers" >&2
     exit 1
 fi
-diff -r "$tmp/base" "$tmp/work"
+status=0
+changed=$(diff -rq "$tmp/base" "$tmp/work") || status=$?
+if [ -n "$changed" ]; then
+    echo "$changed"
+    sed -n 's/^Files \(.*\) and \(.*\) differ$/\1\n\2/p' <<< "$changed" | while read -r a && read -r b; do
+        echo "first lines of diff $a $b:"
+        diff "$a" "$b" | head -n 20 || true
+    done
+fi
+exit "$status"

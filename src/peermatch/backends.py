@@ -9,10 +9,8 @@ verified entirely offline.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
-import urllib.request
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -34,6 +32,7 @@ class TransportError(RuntimeError):
 # every call decodes greedily with the same reply budget
 TEMPERATURE = 0.0
 MAX_TOKENS = 256
+_CACHE_KEY_HEAD = f"t={TEMPERATURE!r}|n={MAX_TOKENS}|s="
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ class DecodeParams:
     seed: int | None = None
 
     def cache_key(self) -> str:
-        return f"t={TEMPERATURE!r}|n={MAX_TOKENS}|s={self.seed}"
+        return f"{_CACHE_KEY_HEAD}{self.seed}"
 
 
 class CompletionBackend(Protocol):
@@ -237,6 +236,10 @@ class HttpBackend:
         self.name = f"http/{config.model}"
 
     def complete(self, prompt: str, params: DecodeParams) -> str:
+        # imported here: the HTTP stack is most of the package's import time, and only a live call needs it
+        import http.client
+        import urllib.request
+
         token = os.environ.get(self.config.token_env)
         if not token:
             raise TransportError(f"auth token env var {self.config.token_env!r} is not set")

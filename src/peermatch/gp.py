@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -39,6 +40,18 @@ class FitError(RuntimeError):
 
 class SingularMatrixError(FitError):
     """Covariance stayed non-factorizable even at the largest jitter."""
+
+
+def check_setting_types(config, ints: tuple[str, ...], reals: tuple[str, ...]) -> None:
+    """Raise ``FitError`` naming the first of ``ints`` that is no int, or of ``reals`` that is no real.
+
+    A bool counts as neither, as in a config file.
+    """
+    for names, kind, what in ((ints, numbers.Integral, "an int"), (reals, numbers.Real, "a real")):
+        for name in names:
+            value = getattr(config, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise FitError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -360,6 +373,7 @@ class GpRegressor:
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise FitError("training data contains non-finite values")
         cfg = self.config
+        check_setting_types(cfg, ints=("restarts", "max_iters"), reals=("tol",))
         for name in ("restarts", "max_iters"):
             if getattr(cfg, name) < 0:
                 raise FitError(f"{name} must be >= 0, got {getattr(cfg, name)}")

@@ -14,6 +14,7 @@ import logging
 import random
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -209,28 +210,30 @@ class _TranscriptLog:
 
     A line is kept without its leading ``run_id`` field, which ``save``
     writes in front of it, so lines rendered once can join any run's log.
+    Lines are formatted with the string escaper that
+    ``json.dumps(..., ensure_ascii=False)`` uses, so they are its bytes.
     """
 
     def __init__(self) -> None:
         self.lines: list[str] = []
 
     def sink(self, partner_id: str | None, exercise_id: str) -> Callable[[CallEvent], None]:
+        lines = self.lines
+        partner = "null" if partner_id is None else _json_str(partner_id)
+        middle = f', "partner_id": {partner}, "exercise_id": {_json_str(exercise_id)}, "prompt_hash": "'
+
         def write(event: CallEvent) -> None:
-            line = {
-                "step": event.step,
-                "learner_id": event.actor_id,
-                "partner_id": partner_id,
-                "exercise_id": exercise_id,
-                "prompt_hash": event.prompt_hash,
-                "reply": event.reply,
-            }
-            self.lines.append(json.dumps(line, ensure_ascii=False)[1:])
+            lines.append(
+                f'"step": {event.step}, "learner_id": {_json_str(event.actor_id)}{middle}'
+                f'{event.prompt_hash}", "reply": {_json_str(event.reply)}}}'
+            )
 
         return write
 
     def save(self, path: Path, run_id: str) -> None:
-        head = '{"run_id": ' + json.dumps(run_id, ensure_ascii=False) + ", "
-        write_file(path, "".join(f"{head}{line}\n" for line in self.lines))
+        head = f'{{"run_id": {_json_str(run_id)}, '
+        body = ("\n" + head).join(self.lines)
+        write_file(path, f"{head}{body}\n" if self.lines else "")
 
 
 _MISSING = object()

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .blas import one_blas_thread
-from .gp import FitError, Prediction
+from .gp import FitError, Prediction, check_setting_types
 from .writer import write_file
 
 
@@ -77,6 +77,7 @@ class MlpRegressor:
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise FitError("training data contains non-finite values")
         cfg = self.config
+        check_setting_types(cfg, ints=("hidden", "iters"), reals=("learning_rate",))
         if cfg.hidden < 1:
             raise FitError(f"hidden must be >= 1, got {cfg.hidden}")
         if cfg.iters < 1:

@@ -115,6 +115,12 @@ def solo_prompt(prompts: PromptSet, system_text: str, exercise: Exercise) -> str
     )
 
 
+# a profile sends one exercise's repeats back to back, so a few entries serve every repeat
+@lru_cache(maxsize=16)
+def _solo_prompt(system_text: str, exercise: Exercise) -> str:
+    return solo_prompt(default_prompts(), system_text, exercise)
+
+
 def draft_prompt(prompts: PromptSet, system_text: str, bare: Exercise) -> str:
     return "\n\n".join([system_text, _question_section(prompts, bare), prompts.draft_task])
 
@@ -176,7 +182,7 @@ def solve_exercise(
     _require_answerable(exercise)
     prompts = default_prompts()
     system_text = prompts.system(learner.persona) if use_persona else prompts.neutral_system
-    answer = _call(backend, params, 0, learner.id, solo_prompt(prompts, system_text, exercise))
+    answer = _call(backend, params, 0, learner.id, _solo_prompt(system_text, exercise))
     return _scored(learner.id, None, exercise, (answer,))
 
 

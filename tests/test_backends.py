@@ -3,10 +3,14 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import urllib.error
+from pathlib import Path
 
 import pytest
 
+from peermatch import backends
 from peermatch.backends import (
     CachingBackend,
     DecodeParams,
@@ -213,6 +217,21 @@ class _FakeResponse(io.BytesIO):
 
     def __exit__(self, *exc):
         return False
+
+
+def test_importing_the_cli_loads_no_http_stack():
+    # a fresh interpreter: this one has loaded the HTTP stack for the tests around it
+    code = (
+        "import sys, peermatch.cli; "
+        "print(sorted(m for m in ('http.client', 'urllib.request', 'email', 'ssl', 'socket') if m in sys.modules))"
+    )
+    src = str(Path(backends.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_http_backend_success(monkeypatch):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from peermatch import protocol
 from peermatch.backends import MockBackend
 from peermatch.cli import main
-from peermatch.corpus import fixture_corpus_path
+from peermatch.corpus import fixture_corpus_path, load_corpus, save_corpus
 from peermatch.harness import ConfigError, VariantConfig
 
 
@@ -37,6 +38,25 @@ def test_profile_synthetic(tmp_path, capsys):
     assert len(lines) == 61
     assert all(line.endswith(",3") for line in lines[1:])
     assert "fall below" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("items", [1, 112])
+def test_profile_builds_each_solo_prompt_once(tmp_path, capsys, monkeypatch, items):
+    corpus = tmp_path / "corpus.csv"
+    save_corpus(load_corpus(fixture_corpus_path())[:items], corpus)
+    built, solo_prompt = [], protocol.solo_prompt
+
+    def counted(prompts, system_text, exercise):
+        built.append(exercise.id)
+        return solo_prompt(prompts, system_text, exercise)
+
+    monkeypatch.setattr(protocol, "solo_prompt", counted)
+    protocol._solo_prompt.cache_clear()
+    assert main(["profile", str(corpus), "--repeats", "5", "--seed", "1", "--out", str(tmp_path / "out")]) == 0
+    assert built == [e.id for e in load_corpus(corpus)]
+    assert len(built) == items
+    memo = protocol._solo_prompt.cache_info()  # bounded: 112 items leave at most maxsize entries
+    assert memo.currsize == min(items, memo.maxsize)
 
 
 def _variant_config(tmp_path, variant=(), **extra):

@@ -272,9 +272,14 @@ class TestFit:
             (GpFitConfig(init=(1.0, math.nan, 0.1)), "init must be three finite positive reals, got (1.0, nan, 0.1)"),
             (GpFitConfig(init=(1.0, 1.0)), "init must be three finite positive reals, got (1.0, 1.0)"),
             (GpFitConfig(init="abc"), "init must be three finite positive reals, got 'abc'"),
+            (GpFitConfig(restarts=1.5), "restarts must be an int, got 1.5"),
+            (GpFitConfig(max_iters=2.5), "max_iters must be an int, got 2.5"),
+            (GpFitConfig(max_iters=True), "max_iters must be an int, got True"),
+            (GpFitConfig(tol="1e-7"), "tol must be a real, got '1e-7'"),
         ],
         ids=["restarts", "max_iters", "nan-tol", "negative-tol", "zero-init", "negative-init", "inf-init",
-             "nan-init", "two-init", "string-init"],
+             "nan-init", "two-init", "string-init", "float-restarts", "float-max_iters", "bool-max_iters",
+             "string-tol"],
     )
     def test_bad_config_raises_before_the_first_evaluation(self, monkeypatch, config, message):
         def no_evaluation(*args):

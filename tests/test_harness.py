@@ -10,6 +10,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from peermatch import harness
 from peermatch.backends import MockBackend, TransportError, mock_correct_label
@@ -30,6 +32,7 @@ from peermatch.metrics import CATEGORY_ORDER
 from peermatch.nn import MlpConfig
 from peermatch.pareto import ScoreVector
 from peermatch.personas import default_cohort
+from peermatch.protocol import CallEvent
 from doubles import FunctionBackend
 
 FAST_GP = GpFitConfig(restarts=0, max_iters=30, tol=1e-5)
@@ -417,6 +420,41 @@ def test_transcript_bytes_match_recorded_digests(name, tmp_path, fast_fits):
     if whole:
         assert len(lines) == n_lines
     assert hashlib.sha256(b"".join(lines[:n_lines])).hexdigest() == digest
+
+
+# any text, and text made only of what JSON must escape or may pass through:
+# quotes, backslashes, control characters, U+2028/U+2029 and non-BMP characters
+JSON_TEXT = st.text() | st.text(st.sampled_from(['"', "\\", "\x00", "\n", "\r", "\x1f", "\x7f", "\u2028", "\u2029",
+                                                 "\U0001f600", "\U00010348", "é", "a"]))
+
+
+@given(
+    step=st.integers(0, 4), actor_id=JSON_TEXT, partner_id=st.none() | JSON_TEXT, exercise_id=JSON_TEXT,
+    prompt=st.text(max_size=20), reply=JSON_TEXT,
+)
+def test_transcript_line_is_json_dumps_of_its_fields(step, actor_id, partner_id, exercise_id, prompt, reply):
+    log = harness._TranscriptLog()
+    event = CallEvent(step, actor_id, prompt, reply)
+    log.sink(partner_id, exercise_id)(event)
+    line = {
+        "step": step,
+        "learner_id": actor_id,
+        "partner_id": partner_id,
+        "exercise_id": exercise_id,
+        "prompt_hash": event.prompt_hash,
+        "reply": reply,
+    }
+    assert log.lines == [json.dumps(line, ensure_ascii=False)[1:]]
+
+
+@given(run_id=JSON_TEXT, lines=st.lists(JSON_TEXT, max_size=4))
+def test_transcript_save_puts_the_run_id_before_every_line(tmp_path_factory, run_id, lines):
+    log = harness._TranscriptLog()
+    log.lines.extend(lines)
+    path = tmp_path_factory.mktemp("transcript") / "log.jsonl"
+    log.save(path, run_id)
+    head = '{"run_id": ' + json.dumps(run_id, ensure_ascii=False) + ", "
+    assert path.read_bytes() == "".join(f"{head}{line}\n" for line in lines).encode("utf-8")
 
 
 def test_local_fronts_group_records_by_block_not_exercise_id(tmp_path, fast_fits):

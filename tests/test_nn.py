@@ -91,6 +91,10 @@ def test_non_finite_training_data_raises_before_the_first_step(bad, value):
         (MlpConfig(learning_rate=-0.1), "learning_rate"),
         (MlpConfig(learning_rate=math.nan), "learning_rate"),
         (MlpConfig(learning_rate=math.inf), "learning_rate"),
+        (MlpConfig(hidden=2.5), "^hidden must be an int, got 2.5$"),
+        (MlpConfig(hidden=True), "^hidden must be an int, got True$"),
+        (MlpConfig(iters=2.5), "^iters must be an int, got 2.5$"),
+        (MlpConfig(learning_rate="0.2"), "^learning_rate must be a real, got '0.2'$"),
     ],
 )
 def test_bad_config_raises_before_the_first_step(config, message):
