@@ -17,12 +17,12 @@ from .corpus import (
     load_corpus,
     save_corpus,
 )
+from .gp import check_types
 from .harness import (
     BACKEND_KINDS,
     ConfigError,
     VariantConfig,
     build_backend,
-    check_types,
     default_suite_configs,
     default_synthetic_corpus,
     rerender_reports,
@@ -75,7 +75,7 @@ def _read_config(args) -> tuple[list[VariantConfig], str | None, LiveConfig | No
     live = None
     if "live" in raw:
         live = LiveConfig(**obj(raw["live"], "live", [f.name for f in fields(LiveConfig)], _required(LiveConfig)))
-        check_types(live, f"{path}: live")
+        check_types(live, f"{path}: live", ConfigError)
         if live.timeout_s <= 0:
             raise ConfigError(f"{path}: live: timeout_s must be a positive number, got {live.timeout_s!r}")
     shared = {key: raw[key] for key in ("seed", "backend", "train_domains") if key in raw}

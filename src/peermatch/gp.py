@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, Protocol
@@ -42,16 +42,35 @@ class SingularMatrixError(FitError):
     """Covariance stayed non-factorizable even at the largest jitter."""
 
 
-def check_setting_types(config, ints: tuple[str, ...], reals: tuple[str, ...]) -> None:
-    """Raise ``FitError`` naming the first of ``ints`` that is no int, or of ``reals`` that is no real.
+# a field's annotation -> the types check_types accepts for it; a bool is no number
+_CHECKED_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
 
-    A bool counts as neither, as in a config file.
+
+def check_types(config, where: str, error: type[Exception]) -> None:
+    """Raise ``error`` for a dataclass field whose value is not of its annotated type, or a ``float`` that is not finite.
+
+    Fields annotated otherwise, such as a tuple, are left to their owner's checks.
     """
-    for names, kind, what in ((ints, numbers.Integral, "an int"), (reals, numbers.Real, "a real")):
-        for name in names:
-            value = getattr(config, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise FitError(f"{name} must be {what}, got {value!r}")
+    for f in fields(config):
+        kind, value = _CHECKED_TYPES.get(f.type), getattr(config, f.name)
+        if kind is not None and (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)):
+            raise error(f"{where}: {f.name} must be {f.type}, got {value!r}")
+        # json.load reads NaN and Infinity, and an int beyond the float range overflows once used as one
+        if f.type == "float" and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise error(f"{where}: {f.name} must be a finite float, got {value!r}")
+
+
+def training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float64 arrays; ``FitError`` unless X is non-empty 2-D, y has one entry per row, and both are finite."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise FitError(f"X must be non-empty 2-D, got shape {X.shape}")
+    if y.shape != (X.shape[0],):
+        raise FitError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise FitError("training data contains non-finite values")
+    return X, y
 
 
 @dataclass(frozen=True)
@@ -364,23 +383,17 @@ class GpRegressor:
         keeps the run with the highest final objective; bad data or settings
         raise ``FitError`` before the first evaluation.
         """
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] < 1:
-            raise FitError(f"X must be non-empty 2-D, got shape {X.shape}")
-        if y.shape != (X.shape[0],):
-            raise FitError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise FitError("training data contains non-finite values")
+        X, y = training_arrays(X, y)
         cfg = self.config
-        check_setting_types(cfg, ints=("restarts", "max_iters"), reals=("tol",))
-        for name in ("restarts", "max_iters"):
+        check_types(cfg, "GpFitConfig", FitError)
+        for name in ("restarts", "max_iters", "seed"):
             if getattr(cfg, name) < 0:
                 raise FitError(f"{name} must be >= 0, got {getattr(cfg, name)}")
         if not cfg.tol >= 0.0:
             raise FitError(f"tol must be a non-negative real, got {cfg.tol!r}")
         init = cfg.init if isinstance(cfg.init, (tuple, list)) and len(cfg.init) == 3 else ()
-        if not (init and all(isinstance(v, (int, float)) and 0.0 < v < math.inf for v in init)):
+        reals = all(isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 < v < math.inf for v in init)
+        if not (init and reals):
             raise FitError(f"init must be three finite positive reals, got {cfg.init!r}")
 
         dist = _Distances(pairwise_sqdist(X, X))

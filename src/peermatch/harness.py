@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import random
-import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -32,7 +31,7 @@ from .backends import (
 from .blas import lapack_available
 from .corpus import Exercise, ExerciseBlock, group_by_domain, make_synthetic_corpus
 from .features import GAIN_BASELINES, EmbeddingProvider, HashingEmbedder, ScoreIndex, build_dataset, index_scores
-from .gp import GpFitConfig, GpRegressor
+from .gp import GpFitConfig, GpRegressor, check_types
 from .hashing import stable_u64
 from .metrics import (
     CATEGORY_ORDER,
@@ -76,21 +75,6 @@ class ConfigError(ValueError):
     """Inconsistent or unknown variant configuration."""
 
 
-# a field's annotation -> the types check_types accepts for it; a bool is no number
-_CHECKED_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
-
-
-def check_types(config, where: str) -> None:
-    """Reject a dataclass field whose value is not of its annotated type, or a ``float`` that is not finite."""
-    for f in fields(config):
-        kind, value = _CHECKED_TYPES.get(f.type), getattr(config, f.name)
-        if kind is not None and (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)):
-            raise ConfigError(f"{where}: {f.name} must be {f.type}, got {value!r}")
-        # json.load reads NaN and Infinity, and an int beyond the float range overflows once used as one
-        if f.type == "float" and not -sys.float_info.max <= value <= sys.float_info.max:
-            raise ConfigError(f"{where}: {f.name} must be a finite float, got {value!r}")
-
-
 @dataclass(frozen=True)
 class VariantConfig:
     """One experiment setting, mirroring the component-removal matrix.
@@ -124,7 +108,7 @@ class VariantConfig:
 
     def validate(self) -> None:
         """Reject a wrong type or an inconsistent setting; a value that passes is used as given."""
-        check_types(self, self.name)
+        check_types(self, self.name, ConfigError)
         if "/" in self.name or "\0" in self.name or len(self.name.encode("utf-8")) > 200:
             raise ConfigError(f"{self.name!r}: a variant name names its files: no '/' or NUL, at most 200 UTF-8 bytes")
         if self.seed < 0:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .blas import one_blas_thread
-from .gp import FitError, Prediction, check_setting_types
+from .gp import FitError, Prediction, check_types, training_arrays
 from .writer import write_file
 
 
@@ -68,21 +68,13 @@ class MlpRegressor:
 
     @one_blas_thread()
     def fit(self, X: np.ndarray, y: np.ndarray) -> FittedMlp:
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] < 1:
-            raise FitError(f"X must be non-empty 2-D, got shape {X.shape}")
-        if y.shape != (X.shape[0],):
-            raise FitError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise FitError("training data contains non-finite values")
+        X, y = training_arrays(X, y)
         cfg = self.config
-        check_setting_types(cfg, ints=("hidden", "iters"), reals=("learning_rate",))
-        if cfg.hidden < 1:
-            raise FitError(f"hidden must be >= 1, got {cfg.hidden}")
-        if cfg.iters < 1:
-            raise FitError(f"iters must be >= 1, got {cfg.iters}")
-        if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0.0):
+        check_types(cfg, "MlpConfig", FitError)
+        for name, low in (("hidden", 1), ("iters", 1), ("seed", 0)):
+            if getattr(cfg, name) < low:
+                raise FitError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
+        if not cfg.learning_rate > 0.0:
             raise FitError(f"learning_rate must be a finite positive real, got {cfg.learning_rate!r}")
         n, d = X.shape
         h = cfg.hidden

@@ -264,7 +264,7 @@ class TestFit:
         [
             (GpFitConfig(restarts=-1), "restarts must be >= 0, got -1"),
             (GpFitConfig(max_iters=-1), "max_iters must be >= 0, got -1"),
-            (GpFitConfig(tol=math.nan), "tol must be a non-negative real, got nan"),
+            (GpFitConfig(tol=math.nan), "GpFitConfig: tol must be a finite float, got nan"),
             (GpFitConfig(tol=-1e-7), "tol must be a non-negative real, got -1e-07"),
             (GpFitConfig(init=(1.0, 0.0, 0.1)), "init must be three finite positive reals, got (1.0, 0.0, 0.1)"),
             (GpFitConfig(init=(1.0, 1.0, -0.1)), "init must be three finite positive reals, got (1.0, 1.0, -0.1)"),
@@ -272,14 +272,19 @@ class TestFit:
             (GpFitConfig(init=(1.0, math.nan, 0.1)), "init must be three finite positive reals, got (1.0, nan, 0.1)"),
             (GpFitConfig(init=(1.0, 1.0)), "init must be three finite positive reals, got (1.0, 1.0)"),
             (GpFitConfig(init="abc"), "init must be three finite positive reals, got 'abc'"),
-            (GpFitConfig(restarts=1.5), "restarts must be an int, got 1.5"),
-            (GpFitConfig(max_iters=2.5), "max_iters must be an int, got 2.5"),
-            (GpFitConfig(max_iters=True), "max_iters must be an int, got True"),
-            (GpFitConfig(tol="1e-7"), "tol must be a real, got '1e-7'"),
+            (GpFitConfig(restarts=1.5), "GpFitConfig: restarts must be int, got 1.5"),
+            (GpFitConfig(max_iters=2.5), "GpFitConfig: max_iters must be int, got 2.5"),
+            (GpFitConfig(max_iters=True), "GpFitConfig: max_iters must be int, got True"),
+            (GpFitConfig(tol="1e-7"), "GpFitConfig: tol must be float, got '1e-7'"),
+            (GpFitConfig(seed=1.5), "GpFitConfig: seed must be int, got 1.5"),
+            (GpFitConfig(seed=-1), "seed must be >= 0, got -1"),
+            (GpFitConfig(seed=True), "GpFitConfig: seed must be int, got True"),
+            (GpFitConfig(init=(True, 1.0, 0.1)), "init must be three finite positive reals, got (True, 1.0, 0.1)"),
+            (GpFitConfig(tol=math.inf), "GpFitConfig: tol must be a finite float, got inf"),
         ],
         ids=["restarts", "max_iters", "nan-tol", "negative-tol", "zero-init", "negative-init", "inf-init",
              "nan-init", "two-init", "string-init", "float-restarts", "float-max_iters", "bool-max_iters",
-             "string-tol"],
+             "string-tol", "float-seed", "negative-seed", "bool-seed", "bool-init", "inf-tol"],
     )
     def test_bad_config_raises_before_the_first_evaluation(self, monkeypatch, config, message):
         def no_evaluation(*args):

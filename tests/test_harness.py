@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from peermatch import harness
-from peermatch.backends import MockBackend, TransportError, mock_correct_label
+from peermatch import gp, harness
+from peermatch.backends import LiveConfig, MockBackend, TransportError, mock_correct_label
 from peermatch.corpus import make_synthetic_corpus
 from peermatch.gp import GpFitConfig
 from peermatch.harness import (
@@ -118,6 +118,12 @@ class TestConfigValidation:
         cfg = cfg_with("bad", regressor="gp", pareto="global", train_domains=("soc",))
         with pytest.raises(ConfigError, match="Social Science"):
             run_variant(cfg, corpus, backend=ExplodingBackend())
+
+    @pytest.mark.parametrize("settings", [VariantConfig, LiveConfig, GpFitConfig, MlpConfig], ids=lambda c: c.__name__)
+    def test_every_settings_field_is_type_checked(self, settings):
+        # check_types skips an annotation outside its table, so only the two fields checked by hand may have one
+        unchecked = [f.name for f in fields(settings) if f.type not in gp._CHECKED_TYPES]
+        assert set(unchecked) <= {"train_domains", "init"}, unchecked
 
     def test_validation_happens_before_any_backend_call(self):
         cfg = cfg_with("bad", regressor="gp", pareto="none")

@@ -91,14 +91,26 @@ def test_non_finite_training_data_raises_before_the_first_step(bad, value):
         (MlpConfig(learning_rate=-0.1), "learning_rate"),
         (MlpConfig(learning_rate=math.nan), "learning_rate"),
         (MlpConfig(learning_rate=math.inf), "learning_rate"),
-        (MlpConfig(hidden=2.5), "^hidden must be an int, got 2.5$"),
-        (MlpConfig(hidden=True), "^hidden must be an int, got True$"),
-        (MlpConfig(iters=2.5), "^iters must be an int, got 2.5$"),
-        (MlpConfig(learning_rate="0.2"), "^learning_rate must be a real, got '0.2'$"),
+        # these four ids keep the wording the messages had before they named MlpConfig
+        pytest.param(MlpConfig(hidden=2.5), "^MlpConfig: hidden must be int, got 2.5$",
+                     id="config8-^hidden must be an int, got 2.5$"),
+        pytest.param(MlpConfig(hidden=True), "^MlpConfig: hidden must be int, got True$",
+                     id="config9-^hidden must be an int, got True$"),
+        pytest.param(MlpConfig(iters=2.5), "^MlpConfig: iters must be int, got 2.5$",
+                     id="config10-^iters must be an int, got 2.5$"),
+        pytest.param(MlpConfig(learning_rate="0.2"), "^MlpConfig: learning_rate must be float, got '0.2'$",
+                     id="config11-^learning_rate must be a real, got '0.2'$"),
+        pytest.param(MlpConfig(seed=1.5), "^MlpConfig: seed must be int, got 1.5$", id="float-seed"),
+        pytest.param(MlpConfig(seed=-1), "^seed must be >= 0, got -1$", id="negative-seed"),
+        pytest.param(MlpConfig(seed=True), "^MlpConfig: seed must be int, got True$", id="bool-seed"),
     ],
 )
-def test_bad_config_raises_before_the_first_step(config, message):
+def test_bad_config_raises_before_the_first_step(monkeypatch, config, message):
+    def no_weights(*args):
+        raise AssertionError("a bad config must stop the fit before its weights are drawn")
+
     X, y = _pattern_dataset()
+    monkeypatch.setattr(np.random, "default_rng", no_weights)
     with pytest.raises(FitError, match=message):
         MlpRegressor(config).fit(X, y)
 
