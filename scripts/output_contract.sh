@@ -6,8 +6,8 @@
 #
 # BASE_REF (a commit, branch or tag) is extracted with `git archive` into a
 # temporary directory, and every output goes there too, so nothing is written
-# inside the repository. BLAS runs on one thread. The commands are the seed-42
-# and seed-11 mock suites, the seed-7 cache suite (its replay cache included), `report` on
+# inside the repository. BLAS runs on one thread. The commands are the seed-42,
+# seed-11 and seed-1 mock suites, the seed-7 cache suite (its replay cache included), `report` on
 # a copy of each suite's results.json (so that the reports `suite` wrote are
 # compared too), a 20-repeat mock profile, a 5-repeat profile through the
 # replay cache (its entries included), an `ingest` of the fixture corpus, and
@@ -17,6 +17,9 @@
 # The seed-11 suite is there for its NN variants: their choice for L8 on
 # `circuit_design` hinges on a margin of 8.0e-6, so a last-bit change in the NN
 # fit shows in its `results.json` and transcripts, not only in its model files.
+# The seed-1 suite is the one CI's benchmark step runs, and its winning GP
+# ascent, like seed 42's, stops at the 100-step cap, so its end point shows
+# any last-bit change along the ascent.
 # The exit status is that of `diff -r`: 0 when both trees wrote the same bytes.
 # On a difference the script prints `diff -rq`, then at most the first 20 lines
 # of `diff` for each differing file, since one changed byte in the transcript
@@ -69,6 +72,7 @@ run_commands() {  # source tree, output directory
         peermatch() { python3 -m peermatch.cli "$@" > /dev/null; }
         peermatch suite --seed 42 --backend mock --out "$out/suite-mock"
         peermatch suite --seed 11 --backend mock --out "$out/suite-mock-11"
+        peermatch suite --seed 1 --backend mock --out "$out/suite-mock-1"
         peermatch suite --seed 7 --backend cache --out "$out/suite-cache"
         for suite in suite-mock suite-cache; do
             mkdir "$out/report-$suite"

@@ -5,11 +5,15 @@ observation noise is additive Gaussian with variance ``noise_variance``, and
 the prior mean is zero (gain labels are centered near zero by construction).
 Hyperparameters are fitted by maximizing the log marginal likelihood with
 gradient ascent in log-parameter space. Every linear solve goes through a
-lower-triangular Cholesky factor of the noisy covariance matrix. The one
-inverse formed, K^-1 for the gradient, comes from that cached factor through
-LAPACK ``dpotri``, and the gradient is computed only at points the ascent
-accepts. Fits, reloads and predictions run with the bundled BLAS at one
-thread, so their digits do not depend on the host's thread settings.
+lower-triangular Cholesky factor of the noisy covariance matrix. A fit holds
+its kernel matrix and one column-major LAPACK buffer: each evaluation writes
+the covariance's lower triangle into that buffer, factors it in place
+(``dpotrf``) and solves with it as it is (``dpotrs``). The one inverse
+formed, K^-1 for the gradient, overwrites the factor in the same buffer
+(``dpotri``), and the gradient is computed only at points the ascent accepts
+and continues from. Predictions solve with the factor (``dtrtrs``). Fits,
+reloads and predictions run with the bundled BLAS at one thread, so their
+digits do not depend on the host's thread settings.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .blas import cho_solve, dpotri, one_blas_thread, solve_lower
+from .blas import cho_solve, dpotrf, dpotri, one_blas_thread, solve_lower
 from .writer import write_file
 
 SNAPSHOT_FORMAT = "gp-snapshot/1"
@@ -92,7 +96,9 @@ class KernelParams:
 
     @classmethod
     def from_log_vector(cls, theta: np.ndarray) -> "KernelParams":
-        sf2, ls, sn2 = np.exp(np.asarray(theta, dtype=np.float64))
+        """exp of log parameters; ``FloatingPointError`` where one overflows or underflows."""
+        with np.errstate(over="raise", under="raise"):
+            sf2, ls, sn2 = np.exp(np.asarray(theta, dtype=np.float64))
         return cls(float(sf2), float(ls), float(sn2))
 
 
@@ -108,80 +114,106 @@ class FittedRegressor(Protocol):
     def predict(self, x: np.ndarray) -> Prediction: ...
 
 
+_SQDIST_ROWS = 8  # rows of A per block of differences
+
+
 def pairwise_sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean distances via explicit differences."""
-    diff = A[:, None, :] - B[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Exact squared Euclidean distances via explicit differences, a block of A's rows at a time.
+
+    Each block goes through the ``einsum`` the whole n x m x d difference
+    tensor would, which sums each (i, j) over d on its own, so the result has
+    the same bits while the temporary holds 8 rows of differences, not n.
+    """
+    out = np.empty((A.shape[0], B.shape[0]))
+    for start in range(0, A.shape[0], _SQDIST_ROWS):
+        diff = A[start : start + _SQDIST_ROWS, None, :] - B[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[start : start + _SQDIST_ROWS])
+    return out
 
 
-def _kernel_matrix(neg_D2: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Noise-free kernel matrix from negated squared distances, in one allocation.
+class _Distances:
+    """The squared distances between X's rows, and the n x n buffers its factorizations and gradients reuse."""
+
+    def __init__(self, D2: np.ndarray):
+        self.D2 = D2
+        self.neg = -D2
+        self.kernel = np.empty_like(D2)  # the noise-free kernel matrix Krbf
+        # column-major LAPACK buffer: its lower triangle takes the noisy
+        # covariance, then its Cholesky factor, then K^-1; the upper one stays zero
+        self.factor = np.zeros(D2.shape, order="F")
+        self.upper = ~np.tri(D2.shape[0], dtype=bool)  # strictly above the diagonal
+        self.scaled = np.empty_like(D2)  # Krbf * D2 / lengthscale^2, the lengthscale derivative
+        self.product = np.empty_like(D2)  # K^-1 * M, elementwise
+
+
+def _distances(X: np.ndarray) -> _Distances:
+    """``_Distances`` of a non-empty, finite 2-D X; raises ``ValueError`` otherwise."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise ValueError(f"X must be a non-empty 2-D array, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X contains non-finite entries")
+    return _Distances(pairwise_sqdist(X, X))
+
+
+def _kernel_matrix(dist: _Distances, params: KernelParams) -> np.ndarray:
+    """Noise-free kernel matrix at params, written into ``dist.kernel``.
 
     The divide, ``exp`` and scaling run in place, so the entries are those
     of ``sf2 * np.exp(-D2 / (2 * lengthscale**2))`` bit for bit.
     """
-    K = np.divide(neg_D2, 2.0 * params.lengthscale**2)
+    K = np.divide(dist.neg, 2.0 * params.lengthscale**2, out=dist.kernel)
     np.exp(K, out=K)
     np.multiply(params.signal_variance, K, out=K)
     np.fill_diagonal(K, params.signal_variance)
     return K
 
 
-class _Distances:
-    """One fit's squared distances, their negation, and the buffers its gradients reuse."""
-
-    def __init__(self, D2: np.ndarray):
-        self.D2 = D2
-        self.neg = -D2
-        self.scaled = np.empty_like(D2)  # Krbf * D2 / lengthscale^2, the lengthscale derivative
-        self.product = np.empty_like(D2)  # K^-1 * M, elementwise
-
-
-def _add_to_diagonal(K: np.ndarray, value: float) -> np.ndarray:
-    """Copy of K with ``value`` added to every diagonal entry."""
-    K = K.copy()
-    K[np.diag_indices_from(K)] += value
+def covariance_matrix(X: np.ndarray, params: KernelParams) -> np.ndarray:
+    """Noisy covariance: kernel matrix plus noise_variance on the diagonal."""
+    K = _kernel_matrix(_distances(X), params)
+    K[np.diag_indices_from(K)] += params.noise_variance
     return K
 
 
-def covariance_matrix(X: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Noisy covariance: kernel matrix plus noise_variance on the diagonal."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError(f"X must be a non-empty 2-D array, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("X contains non-finite entries")
-    return _add_to_diagonal(_kernel_matrix(-pairwise_sqdist(X, X), params), params.noise_variance)
+def _factor(dist: _Distances, params: KernelParams, y: np.ndarray, ladder: tuple[float, ...] = JITTER_LADDER):
+    """Factor the noisy covariance at params and score y under it; returns (L, jitter, alpha, mll).
 
-
-def _factor(K: np.ndarray, y: np.ndarray, ladder: tuple[float, ...] = JITTER_LADDER):
-    """Factor the noisy covariance K and score y under it; returns (L, jitter, alpha, mll).
-
-    Diagonal jitter escalates along ``ladder`` until the Cholesky factor
-    exists, and raises rather than go past its end. alpha = K^-1 y, and mll
-    is the log marginal likelihood of GPML (Rasmussen & Williams 2006)
-    Alg. 2.1.
+    The kernel matrix goes into ``dist.kernel``, and L into the lower
+    triangle of ``dist.factor``, the buffer itself. Each try writes the
+    covariance's lower triangle there afresh (``dist.kernel`` is symmetric
+    bit for bit, so its upper triangle, read through the transpose, is that
+    lower one) and adds noise, then jitter, to the diagonal as a copy of K
+    would. Diagonal jitter escalates along ``ladder`` until the Cholesky
+    factor exists, and raises rather than go past its end. alpha = K^-1 y,
+    and mll is the log marginal likelihood of GPML (Rasmussen & Williams
+    2006) Alg. 2.1.
     """
+    Krbf = _kernel_matrix(dist, params)
+    diagonal = params.signal_variance + params.noise_variance
     for jitter in ladder:
-        try:
-            L = np.linalg.cholesky(_add_to_diagonal(K, jitter) if jitter else K)
+        np.copyto(dist.factor.T, Krbf, where=dist.upper)
+        np.fill_diagonal(dist.factor, diagonal + jitter if jitter else diagonal)
+        if dpotrf(dist.factor) == 0:
             break
-        except np.linalg.LinAlgError:
-            continue
     else:
         raise SingularMatrixError(f"covariance not positive definite even with jitter {ladder[-1]!r}")
+    L = dist.factor
+    # an inf or NaN in the covariance spreads along its row of L to the
+    # diagonal, so this scan finds what one of all of L would
+    diag = np.asarray_chkfinite(np.diag(L))
     alpha = cho_solve(L, y)
-    mll = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
+    mll = float(-0.5 * y @ alpha - np.log(diag).sum() - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
     return L, jitter, alpha, mll
 
 
 def log_marginal_likelihood(X: np.ndarray, y: np.ndarray, params: KernelParams) -> float:
     """Log density of y under the zero-mean GP prior with additive noise."""
     y = np.asarray(y, dtype=np.float64)
-    K = covariance_matrix(X, params)
-    if y.shape != (K.shape[0],):
-        raise ValueError(f"y has shape {y.shape}, expected ({K.shape[0]},)")
-    return _factor(K, y)[3]
+    dist = _distances(X)
+    if y.shape != (dist.D2.shape[0],):
+        raise ValueError(f"y has shape {y.shape}, expected ({dist.D2.shape[0]},)")
+    return _factor(dist, params, y)[3]
 
 
 def _objective(dist: _Distances, y: np.ndarray, theta: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
@@ -189,31 +221,33 @@ def _objective(dist: _Distances, y: np.ndarray, theta: np.ndarray) -> tuple[floa
 
     The gradient function reuses this evaluation's kernel matrix, factor and
     alpha, so a caller that rejects theta pays for one factorization only.
-    The kernel matrix is built from ``dist.neg``, negated once per fit, and
-    the gradient forms its two n x n products in ``dist``'s buffers, so it
-    must be called before the next evaluation on the same ``dist``. The
-    buffers save temporaries only: every floating-point operation of GPML
+    The kernel matrix is built from ``dist.neg``, negated once per fit, into
+    ``dist.kernel``, the factor lives in ``dist.factor``, and the gradient
+    forms its two n x n products in ``dist``'s other buffers, so it must be
+    called before the next evaluation on the same ``dist``. The buffers save
+    copies and temporaries only: every floating-point operation of GPML
     Alg. 2.1 and eq. 5.9, and its order, is that of the plain expressions.
     """
     params = KernelParams.from_log_vector(theta)
-    Krbf = _kernel_matrix(dist.neg, params)
-    L, _, alpha, value = _factor(_add_to_diagonal(Krbf, params.noise_variance), y)
-    return value, partial(_gradient, dist, params, Krbf, L, alpha)
+    _, _, alpha, value = _factor(dist, params, y)
+    return value, partial(_gradient, dist, params, alpha)
 
 
-def _gradient(dist: _Distances, params: KernelParams, Krbf: np.ndarray, L: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def _gradient(dist: _Distances, params: KernelParams, alpha: np.ndarray) -> np.ndarray:
     """MLL gradient w.r.t. (log sf2, log lengthscale, log sn2) at a factored point.
 
     GPML eq. 5.9: component j is 0.5 * trace((alpha alpha^T - K^-1) dK/dtheta_j),
-    with K the noisy covariance. K^-1 comes from ``dpotri`` on the cached
-    factor L, which fills only the lower triangle; L's upper triangle is zero
-    and stays so. Both dK/dtheta_j are symmetric, so sum(K^-1 * M) is read
-    from the lower triangle T as 2 sum(T * M) - trace(T * M), and the
-    alpha^T M alpha terms are matrix-vector products.
+    with K the noisy covariance. K^-1 comes from ``dpotri`` on the factor in
+    ``dist.factor``, which it overwrites in the lower triangle only; the
+    upper triangle is zero and stays so. Both dK/dtheta_j are symmetric, so
+    sum(K^-1 * M) is read from the lower triangle T as
+    2 sum(T * M) - trace(T * M), and the alpha^T M alpha terms are
+    matrix-vector products.
     """
-    Kinv_lower, info = dpotri(L)
+    info = dpotri(dist.factor)
     if info != 0:
         raise SingularMatrixError(f"dpotri could not invert the covariance factor (info={info})")
+    Kinv_lower, Krbf = dist.factor, dist.kernel
     Kinv_diag = np.diag(Kinv_lower)
 
     def half_trace_w(M: np.ndarray) -> float:
@@ -232,9 +266,8 @@ def _gradient(dist: _Distances, params: KernelParams, Krbf: np.ndarray, L: np.nd
 
 def mll_gradient(X: np.ndarray, y: np.ndarray, params: KernelParams) -> np.ndarray:
     """Analytic MLL gradient over (log sf2, log lengthscale, log sn2)."""
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    return _objective(_Distances(pairwise_sqdist(X, X)), y, params.log_vector())[1]()
+    return _objective(_distances(X), y, params.log_vector())[1]()
 
 
 @dataclass(frozen=True)
@@ -317,39 +350,43 @@ class FittedGp:
 def _ascend(dist: _Distances, y, theta0, config: GpFitConfig):
     """Backtracking gradient ascent from one start; returns (mll, theta, path).
 
-    The gradient is computed at the start and at each accepted trial only.
+    The gradient is computed at the start and at each accepted trial the
+    ascent continues from, not at the last one, which the ``tol`` test or
+    the ``max_iters`` cap ends on. A trial is rejected, and the step halved,
+    when it does not improve the objective, when its covariance cannot be
+    factored, or when a parameter overflows or underflows.
     """
     theta = np.asarray(theta0, dtype=np.float64)
     try:
         value, gradient = _objective(dist, y, theta)
         grad = gradient()
-    except SingularMatrixError:
+    except (SingularMatrixError, FloatingPointError):
         return -np.inf, theta, []
     path = [(value, *theta)]
     step = STEP0
-    for _ in range(config.max_iters):
+    for iteration in range(config.max_iters):
         gnorm = float(np.linalg.norm(grad))
         if gnorm == 0.0 or not math.isfinite(gnorm):
             break
+        last_iteration = iteration == config.max_iters - 1
         s = step
-        accepted = False
         for _ in range(MAX_HALVINGS):
             trial = theta + s * grad
             try:
                 trial_value, gradient = _objective(dist, y, trial)
-                if math.isfinite(trial_value) and trial_value > value:
+                accepted = math.isfinite(trial_value) and trial_value > value
+                if accepted and not (last_iteration or trial_value - value < config.tol):
                     grad = gradient()
-                    accepted = True
-            except SingularMatrixError:
-                pass
+            except (SingularMatrixError, FloatingPointError):
+                accepted = False
             if accepted:
-                improvement = trial_value - value
-                theta, value = trial, trial_value
-                step = min(s * STEP_GROWTH, 10.0)
                 break
             s *= 0.5
         if not accepted:
             break
+        improvement = trial_value - value
+        theta, value = trial, trial_value
+        step = min(s * STEP_GROWTH, 10.0)
         path.append((value, *theta))
         if improvement < config.tol:
             break
@@ -367,8 +404,8 @@ def load_model(path: str | Path) -> FittedGp:
         payload["n"], payload["d"]
     )
     y = np.array([float(v) for v in payload["y"]], dtype=np.float64)
-    L, jitter, alpha, mll = _factor(covariance_matrix(X, params), y, ladder=(float(payload["jitter"]),))
-    return FittedGp(X=X, y=y, params=params, L=L, alpha=alpha, jitter=jitter, mll=mll)
+    L, jitter, alpha, mll = _factor(_distances(X), params, y, ladder=(float(payload["jitter"]),))
+    return FittedGp(X=X, y=y, params=params, L=np.ascontiguousarray(L), alpha=alpha, jitter=jitter, mll=mll)
 
 
 class GpRegressor:
@@ -411,12 +448,12 @@ class GpRegressor:
             raise FitError("all restarts diverged to a non-finite objective")
 
         params = KernelParams.from_log_vector(best_theta)
-        L, jitter, alpha, _ = _factor(_add_to_diagonal(_kernel_matrix(dist.neg, params), params.noise_variance), y)
+        L, jitter, alpha, _ = _factor(dist, params, y)
         return FittedGp(
             X=X.copy(),
             y=y.copy(),
             params=params,
-            L=L,
+            L=np.ascontiguousarray(L),
             alpha=alpha,
             jitter=jitter,
             mll=best_value,

@@ -134,8 +134,8 @@ class VariantConfig:
             raise ConfigError(f"{self.name}: a regressor requires train_domains")
         if self.regressor == "gp" and not lapack_available():
             raise ConfigError(
-                f"{self.name}: the gp regressor needs SciPy where NumPy bundles no OpenBLAS with LAPACKE "
-                "dpotrs, dpotri and dtrtrs; install scipy"
+                f"{self.name}: the gp regressor needs SciPy where NumPy bundles no OpenBLAS with "
+                "dpotrf and LAPACKE dpotrs, dpotri and dtrtrs; install scipy"
             )
 
 

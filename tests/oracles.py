@@ -5,9 +5,10 @@ determinants for the GP quantities, central finite differences for the
 gradient, and a full double-loop dominance scan for the Pareto front.
 ``reference_mlp_fit`` and ``reference_objective`` are the plain-expression
 forms of the NN step loop and the GP ascent's objective and gradient, one
-temporary per operation, and ``reference_embed`` hashes every n-gram into a
-NumPy vector with no memo; the library's versions must match them bit for
-bit.
+temporary per operation, ``reference_factor`` climbs the jitter ladder with
+``np.linalg.cholesky`` on a fresh copy per rung, and ``reference_embed``
+hashes every n-gram into a NumPy vector with no memo; the library's versions
+must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import math
 
 import numpy as np
 
-from peermatch.blas import dpotri, one_blas_thread
-from peermatch.gp import FitError, KernelParams, _add_to_diagonal, _factor
+from peermatch.blas import cho_solve, dpotri, one_blas_thread
+from peermatch.gp import JITTER_LADDER, FitError, KernelParams, SingularMatrixError
 from peermatch.hashing import stable_u64
 from peermatch.nn import FittedMlp, MlpConfig
 from peermatch.pareto import ScoreVector, dominates
@@ -125,15 +126,41 @@ def reference_mlp_fit(X: np.ndarray, y: np.ndarray, config: MlpConfig) -> Fitted
     return FittedMlp(W1=W1, b1=b1, w2=w2, b2=b2, final_loss=loss)
 
 
+def _plus_diagonal(K: np.ndarray, value: float) -> np.ndarray:
+    K = K.copy()
+    K[np.diag_indices_from(K)] += value
+    return K
+
+
+@one_blas_thread()
+def reference_factor(K: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """(L, jitter, alpha, mll) for the noisy covariance K, as GPML Alg. 2.1 with the library's jitter ladder.
+
+    L is ``np.linalg.cholesky`` of a jittered copy of K, C-ordered, and
+    alpha comes from a finite-checked Fortran-ordered copy of it.
+    """
+    for jitter in JITTER_LADDER:
+        try:
+            L = np.linalg.cholesky(_plus_diagonal(K, jitter) if jitter else K)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
+        raise SingularMatrixError("covariance not positive definite at any jitter")
+    alpha = cho_solve(np.asarray_chkfinite(L, order="F"), y)
+    mll = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
+    return L, jitter, alpha, mll
+
+
 @one_blas_thread()
 def reference_objective(D2: np.ndarray, y: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
     """MLL at log parameters theta and its GPML eq. 5.9 gradient, a fresh array per expression."""
     params = KernelParams.from_log_vector(theta)
     Krbf = params.signal_variance * np.exp(-D2 / (2.0 * params.lengthscale**2))
     np.fill_diagonal(Krbf, params.signal_variance)
-    L, _, alpha, value = _factor(_add_to_diagonal(Krbf, params.noise_variance), y)
-    Kinv_lower, info = dpotri(L)
-    assert info == 0
+    L, _, alpha, value = reference_factor(_plus_diagonal(Krbf, params.noise_variance), y)
+    Kinv_lower = np.array(L, order="F")
+    assert dpotri(Kinv_lower) == 0
     Kinv_diag = np.diag(Kinv_lower)
 
     def half_trace_w(M: np.ndarray) -> float:

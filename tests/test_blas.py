@@ -1,4 +1,4 @@
-"""The LAPACKE bindings of NumPy's bundled OpenBLAS, their SciPy fallback, and a SciPy-free runtime."""
+"""The LAPACK bindings of NumPy's bundled OpenBLAS, their SciPy fallback, and a SciPy-free runtime."""
 
 import importlib.util
 import json
@@ -14,27 +14,64 @@ from peermatch import blas, cli, gp
 from peermatch.backends import MockBackend
 from peermatch.gp import GpFitConfig, GpRegressor, KernelParams, covariance_matrix
 from peermatch.harness import VariantConfig
+from oracles import reference_factor
 
 needs_bindings = pytest.mark.skipif(
-    blas._lapack() is None, reason="NumPy bundles no OpenBLAS that exports LAPACKE dpotrs, dpotri and dtrtrs"
+    blas._lapack() is None, reason="NumPy bundles no OpenBLAS that exports dpotrf and LAPACKE dpotrs, dpotri and dtrtrs"
 )
 SRC = str(Path(gp.__file__).resolve().parents[1])
 
 
 def _factors():
-    """(L, b) pairs: random noisy covariances, n = 1, and one factor that needed jitter."""
+    """(K, L, b): random noisy covariances, n = 1, and one that needed jitter, with K's jitter added.
+
+    L is ``np.linalg.cholesky(K)``, C-ordered with a zero upper triangle.
+    """
     rng = np.random.default_rng(18)
     problems = []
     for n in [1, 1, 2, 3, *rng.integers(4, 120, size=40)]:
         X = rng.standard_normal((n, int(rng.integers(1, 6))))
-        L = gp._factor(covariance_matrix(X, KernelParams(*np.exp(rng.uniform(-2, 2, 3)))), np.zeros(n))[0]
-        problems.append((L, rng.standard_normal(n)))
+        problems.append((covariance_matrix(X, KernelParams(*np.exp(rng.uniform(-2, 2, 3)))), rng.standard_normal(n)))
     X = rng.standard_normal((8, 3))
     X = np.vstack([X, X[:3] + 1e-9])
-    L, jitter = gp._factor(covariance_matrix(X, KernelParams(1e-8, 1.0, 1e-30)), np.zeros(11))[:2]
+    problems.append((covariance_matrix(X, KernelParams(1e-8, 1.0, 1e-30)), rng.standard_normal(11)))
+    factored = []
+    for K, b in problems:
+        L, jitter = reference_factor(K, np.zeros(len(b)))[:2]
+        K[np.diag_indices_from(K)] += jitter
+        factored.append((K, L, b))
     assert jitter > 0.0
-    problems.append((L, rng.standard_normal(11)))
-    return problems
+    return factored
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["bindings", "fallback"])
+def test_dpotrf_matches_numpy_cholesky_bit_for_bit(monkeypatch, fallback):
+    if fallback:
+        monkeypatch.setattr(blas, "_lapack", lambda: None)
+    elif blas._lapack() is None:
+        pytest.skip("NumPy bundles no OpenBLAS that exports the LAPACK routines")
+    with blas.one_blas_thread():  # as reference_factor runs
+        for K, L, _ in _factors():
+            lower = np.asfortranarray(np.tril(K))
+            assert blas.dpotrf(lower) == 0
+            assert np.array_equal(lower, L)
+            full = np.asfortranarray(K)
+            assert blas.dpotrf(full) == 0
+            assert np.array_equal(np.tril(full), L)
+            if not fallback:  # LAPACK leaves the upper triangle as it is
+                assert np.array_equal(np.triu(full, 1), np.triu(K, 1))
+        assert blas.dpotrf(np.asfortranarray(np.ones((3, 3)))) > 0
+
+
+def test_in_place_routines_need_a_writeable_fortran_buffer():
+    for bad in (np.eye(3, order="C") + np.tri(3), np.eye(3, dtype=np.float32, order="F"), np.ones((2, 3), order="F")):
+        for routine in (blas.dpotrf, blas.dpotri):
+            with pytest.raises(ValueError):
+                routine(bad)
+    frozen = np.asfortranarray(np.eye(3))
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="writeable"):
+        blas.dpotrf(frozen)
 
 
 @needs_bindings
@@ -43,13 +80,16 @@ def test_bindings_match_scipy_bit_for_bit():
     from scipy.linalg import cho_solve, solve_triangular
     from scipy.linalg.lapack import dpotri
 
-    for L, b in _factors():
+    for _, L, b in _factors():
         before = L.copy()
-        assert np.array_equal(blas.cho_solve(L, b), cho_solve((L, True), b))
-        inverse, info = blas.dpotri(L)
+        expected_x = cho_solve((L, True), b)
+        assert np.array_equal(blas.cho_solve(L, b), expected_x)
+        assert np.array_equal(blas.cho_solve(np.asfortranarray(L), b), expected_x)
+        inverse = np.array(L, order="F")
+        info = blas.dpotri(inverse)
         expected, expected_info = dpotri(L, lower=1)
         assert info == expected_info == 0
-        assert np.array_equal(inverse, expected) and inverse.flags.f_contiguous == expected.flags.f_contiguous
+        assert np.array_equal(inverse, expected)
         assert np.array_equal(blas.solve_lower(L, b), solve_triangular(L, b, lower=True))
         assert np.array_equal(L, before)
 

@@ -26,6 +26,7 @@ from oracles import (
     dense_mll_gradient,
     dense_predict,
     finite_difference_gradient,
+    reference_factor,
     reference_objective,
 )
 
@@ -135,13 +136,13 @@ class TestGradient:
         X = np.vstack([X, X[:3] + 1e-9])
         y = rng.standard_normal(11)
         p = KernelParams(1e-8, 1.0, 1e-30)
-        jitter = gp._factor(covariance_matrix(X, p), y)[1]
+        jitter = gp._factor(gp._distances(X), p, y)[1]
         assert jitter > 0.0
         oracle = dense_mll_gradient(X, y, p, jitter)
         assert np.linalg.norm(mll_gradient(X, y, p) - oracle) <= 1e-9 * np.linalg.norm(oracle)
 
     def test_failed_inverse_raises_and_fit_uses_no_partial_inverse(self, monkeypatch):
-        monkeypatch.setattr(gp, "dpotri", lambda L: (np.zeros_like(L), 2))
+        monkeypatch.setattr(gp, "dpotri", lambda buffer: 2)
         rng = np.random.default_rng(15)
         X = rng.standard_normal((6, 2))
         y = rng.standard_normal(6)
@@ -204,6 +205,55 @@ class TestBufferedObjective:
     def test_matches_the_reference_on_any_shape(self, n, d, seed, thetas):
         rng = np.random.default_rng(seed)
         _assert_same_objective(rng.standard_normal((n, d)), rng.standard_normal(n), [np.array(t) for t in thetas])
+
+    def test_matches_the_reference_where_the_jitter_ladder_climbs(self):
+        # repeated rows and negligible noise make K singular in floating point;
+        # each rung rewrites the buffer, and the next evaluation starts from it
+        rng = np.random.default_rng(23)
+        X = rng.standard_normal((8, 3))
+        X = np.vstack([X, X[:3], X[:2]])
+        y = rng.standard_normal(13)
+        # at (1e7, 1.0, 1e-9) and (1e9, 1.0, 3e-8), (sf2 + noise) + jitter and
+        # sf2 + (noise + jitter) differ in the last bit
+        scales = [(1.0, 1.0, 1e-30), (1.2, 0.7, 0.4), (1e7, 1.0, 1e-9), (1e7, 1.0, 1e-30), (1e9, 1.0, 3e-8),
+                  (1.0, 1.0, 1.0)]
+        thetas = [np.log(scale) for scale in scales]
+        jitters = [reference_factor(covariance_matrix(X, KernelParams(*scale)), y)[1] for scale in scales]
+        assert jitters == [1e-10, 0.0, 1e-9, 1e-8, 1e-6, 0.0]
+        _assert_same_objective(X, y, thetas)
+        dist = gp._Distances(gp.pairwise_sqdist(X, X))
+        with one_blas_thread():
+            assert [gp._factor(dist, KernelParams(*scale), y)[1] for scale in scales] == jitters
+            # past the ladder's last rung
+            with pytest.raises(SingularMatrixError):
+                reference_factor(covariance_matrix(X, KernelParams(1e11, 1.0, 1e-30)), y)
+            with pytest.raises(SingularMatrixError):
+                gp._objective(dist, y, np.log([1e11, 1.0, 1e-30]))
+
+    def test_a_nan_covariance_raises_as_the_reference_does(self):
+        # the lengthscale's square underflows to 0, so the repeated rows give 0/0
+        X = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 2.0]])
+        y = np.array([0.5, -0.2, 0.9])
+        theta = np.array([0.0, -400.0, 0.0])
+        D2 = gp.pairwise_sqdist(X, X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as expected:
+                reference_objective(D2, y, theta)
+            with pytest.raises(ValueError) as got, one_blas_thread():
+                gp._objective(gp._Distances(D2), y, theta)
+        assert str(got.value) == str(expected.value) == "array must not contain infs or NaNs"
+
+
+@pytest.mark.parametrize("n, m, d", [(1, 1, 1), (1, 9, 3), (7, 7, 2), (8, 8, 4), (9, 4, 5), (17, 30, 1), (216, 216, 36)])
+def test_pairwise_sqdist_matches_the_whole_difference_tensor(n, m, d):
+    rng = np.random.default_rng(n * m + d)
+    A, B = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+    diff = A[:, None, :] - B[None, :, :]
+    assert np.array_equal(gp.pairwise_sqdist(A, B), np.einsum("ijk,ijk->ij", diff, diff))
+    diff = A[:, None, :] - A[None, :, :]
+    D2 = gp.pairwise_sqdist(A, A)
+    assert np.array_equal(D2, np.einsum("ijk,ijk->ij", diff, diff))
+    assert np.array_equal(D2, D2.T)  # the factor buffer reads the kernel's upper triangle as its lower one
 
 
 def _sample_from(params, X, rng):
@@ -295,6 +345,45 @@ class TestFit:
         with pytest.raises(FitError) as info:
             GpRegressor(config).fit(rng.standard_normal((6, 2)), rng.standard_normal(6))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "config", [GpFitConfig(restarts=2, max_iters=5, tol=0.0, seed=4), GpFitConfig(restarts=0, tol=1e-2)], ids=["cap", "tol"]
+    )
+    def test_the_last_accepted_step_computes_no_gradient(self, monkeypatch, config):
+        inverses, paths = [], []
+        real_dpotri, real_ascend = gp.dpotri, gp._ascend
+        monkeypatch.setattr(gp, "dpotri", lambda buffer: inverses.append(1) or real_dpotri(buffer))
+
+        def ascend(*args):
+            result = real_ascend(*args)
+            paths.append(result[2])
+            return result
+
+        monkeypatch.setattr(gp, "_ascend", ascend)
+        rng = np.random.default_rng(7)
+        X, y = rng.standard_normal((12, 2)), rng.standard_normal(12)
+        GpRegressor(config).fit(X, y)
+        assert len(paths) == config.restarts + 1
+        expected = 0
+        for path in paths:
+            mlls = [row[0] for row in path]
+            ended_on_a_step = len(path) == config.max_iters + 1 or (len(path) > 1 and mlls[-1] - mlls[-2] < config.tol)
+            # one gradient at the start, and one for each accepted step but a last one that ends the ascent
+            expected += len(path) - 1 if ended_on_a_step else len(path)
+        assert len(inverses) == expected
+        assert any(len(path) > 2 for path in paths)
+
+    def test_an_overflowing_step_is_rejected(self):
+        # y of order 1e6 makes the first steps overflow exp(log signal variance)
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((6, 2))
+        y = 1e6 * rng.standard_normal(6)
+        config = GpFitConfig(restarts=0, max_iters=20)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the fit drives the lengthscale towards 0
+            model = GpRegressor(config).fit(X, y)
+        assert all(math.isfinite(v) for v in model.params.log_vector()) and math.isfinite(model.mll)
+        assert len(model.trace) > 1
+        assert model.mll >= log_marginal_likelihood(X, y, KernelParams(*config.init))
 
     def test_zero_iterations_and_tolerance_are_accepted(self):
         rng = np.random.default_rng(0)
