@@ -80,7 +80,7 @@ def _read_config(args) -> tuple[list[VariantConfig], str | None, LiveConfig | No
             raise ConfigError(f"{path}: live: timeout_s must be a positive number, got {live.timeout_s!r}")
     shared = {key: raw[key] for key in ("seed", "backend", "train_domains") if key in raw}
     for key, value in obj(raw.get("mock", {}), "mock", MOCK_KEYS).items():
-        # an int in float range becomes a float (1 and 1.0 name the same mock); validate() rejects any other value
+        # an int in float range becomes a float (1 and 1.0 name the same mock); VariantConfig rejects any other value
         shared[MOCK_KEYS[key]] = float(value) if type(value) is int and abs(value) <= sys.float_info.max else value
     flags = {key: value for key, value in (("seed", args.seed), ("backend", args.backend)) if value is not None}
     if suite and "variants" not in raw:
@@ -131,7 +131,6 @@ def _cmd_profile(args) -> int:
         name="profile", role_setting=False, co_learning=False,
         seed=args.seed or 0, backend=args.backend or "mock",
     )
-    cfg.validate()
     exercises = _resolve_corpus(args.path)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # before the first call: an unusable --out costs none

@@ -46,6 +46,10 @@ class SingularMatrixError(FitError):
     """Covariance stayed non-factorizable even at the largest jitter."""
 
 
+class NonFiniteCovarianceError(FitError, ValueError):
+    """The covariance holds an inf or NaN; a ``ValueError`` too, as NumPy's finiteness check raises."""
+
+
 # a field's annotation -> the types check_types accepts for it; a bool is no number
 _CHECKED_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
 
@@ -64,16 +68,16 @@ def check_types(config, where: str, error: type[Exception]) -> None:
             raise error(f"{where}: {f.name} must be a finite float, got {value!r}")
 
 
-def training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """X and y as float64 arrays; ``FitError`` unless X is non-empty 2-D, y has one entry per row, and both are finite."""
+def training_arrays(X, y, error: type[Exception]) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float64 arrays; raises ``error`` unless X is non-empty 2-D, y has one entry per row, and both are finite."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
-        raise FitError(f"X must be non-empty 2-D, got shape {X.shape}")
+        raise error(f"X must be non-empty 2-D, got shape {X.shape}")
     if y.shape != (X.shape[0],):
-        raise FitError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+        raise error(f"y has shape {y.shape}, expected ({X.shape[0]},)")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise FitError("training data contains non-finite values")
+        raise error("training data contains non-finite values")
     return X, y
 
 
@@ -136,7 +140,6 @@ class _Distances:
 
     def __init__(self, D2: np.ndarray):
         self.D2 = D2
-        self.neg = -D2
         self.kernel = np.empty_like(D2)  # the noise-free kernel matrix Krbf
         # column-major LAPACK buffer: its lower triangle takes the noisy
         # covariance, then its Cholesky factor, then K^-1; the upper one stays zero
@@ -146,33 +149,18 @@ class _Distances:
         self.product = np.empty_like(D2)  # K^-1 * M, elementwise
 
 
-def _distances(X: np.ndarray) -> _Distances:
-    """``_Distances`` of a non-empty, finite 2-D X; raises ``ValueError`` otherwise."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError(f"X must be a non-empty 2-D array, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("X contains non-finite entries")
-    return _Distances(pairwise_sqdist(X, X))
-
-
 def _kernel_matrix(dist: _Distances, params: KernelParams) -> np.ndarray:
     """Noise-free kernel matrix at params, written into ``dist.kernel``.
 
     The divide, ``exp`` and scaling run in place, so the entries are those
-    of ``sf2 * np.exp(-D2 / (2 * lengthscale**2))`` bit for bit.
+    of ``sf2 * np.exp(-D2 / (2 * lengthscale**2))`` bit for bit: IEEE
+    division is sign-symmetric, so dividing D2 by the negated denominator
+    gives the bits of dividing -D2 by it.
     """
-    K = np.divide(dist.neg, 2.0 * params.lengthscale**2, out=dist.kernel)
+    K = np.divide(dist.D2, -2.0 * params.lengthscale**2, out=dist.kernel)
     np.exp(K, out=K)
     np.multiply(params.signal_variance, K, out=K)
     np.fill_diagonal(K, params.signal_variance)
-    return K
-
-
-def covariance_matrix(X: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Noisy covariance: kernel matrix plus noise_variance on the diagonal."""
-    K = _kernel_matrix(_distances(X), params)
-    K[np.diag_indices_from(K)] += params.noise_variance
     return K
 
 
@@ -201,7 +189,9 @@ def _factor(dist: _Distances, params: KernelParams, y: np.ndarray, ladder: tuple
     L = dist.factor
     # an inf or NaN in the covariance spreads along its row of L to the
     # diagonal, so this scan finds what one of all of L would
-    diag = np.asarray_chkfinite(np.diag(L))
+    diag = np.diag(L)
+    if not np.isfinite(diag).all():
+        raise NonFiniteCovarianceError("array must not contain infs or NaNs")
     alpha = cho_solve(L, y)
     mll = float(-0.5 * y @ alpha - np.log(diag).sum() - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
     return L, jitter, alpha, mll
@@ -209,11 +199,8 @@ def _factor(dist: _Distances, params: KernelParams, y: np.ndarray, ladder: tuple
 
 def log_marginal_likelihood(X: np.ndarray, y: np.ndarray, params: KernelParams) -> float:
     """Log density of y under the zero-mean GP prior with additive noise."""
-    y = np.asarray(y, dtype=np.float64)
-    dist = _distances(X)
-    if y.shape != (dist.D2.shape[0],):
-        raise ValueError(f"y has shape {y.shape}, expected ({dist.D2.shape[0]},)")
-    return _factor(dist, params, y)[3]
+    X, y = training_arrays(X, y, ValueError)
+    return _factor(_Distances(pairwise_sqdist(X, X)), params, y)[3]
 
 
 def _objective(dist: _Distances, y: np.ndarray, theta: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
@@ -221,10 +208,10 @@ def _objective(dist: _Distances, y: np.ndarray, theta: np.ndarray) -> tuple[floa
 
     The gradient function reuses this evaluation's kernel matrix, factor and
     alpha, so a caller that rejects theta pays for one factorization only.
-    The kernel matrix is built from ``dist.neg``, negated once per fit, into
-    ``dist.kernel``, the factor lives in ``dist.factor``, and the gradient
-    forms its two n x n products in ``dist``'s other buffers, so it must be
-    called before the next evaluation on the same ``dist``. The buffers save
+    The kernel matrix is built from ``dist.D2`` into ``dist.kernel``, the
+    factor lives in ``dist.factor``, and the gradient forms its two n x n
+    products in ``dist``'s other buffers, so it must be called before the
+    next evaluation on the same ``dist``. The buffers save
     copies and temporaries only: every floating-point operation of GPML
     Alg. 2.1 and eq. 5.9, and its order, is that of the plain expressions.
     """
@@ -266,8 +253,8 @@ def _gradient(dist: _Distances, params: KernelParams, alpha: np.ndarray) -> np.n
 
 def mll_gradient(X: np.ndarray, y: np.ndarray, params: KernelParams) -> np.ndarray:
     """Analytic MLL gradient over (log sf2, log lengthscale, log sn2)."""
-    y = np.asarray(y, dtype=np.float64)
-    return _objective(_distances(X), y, params.log_vector())[1]()
+    X, y = training_arrays(X, y, ValueError)
+    return _objective(_Distances(pairwise_sqdist(X, X)), y, params.log_vector())[1]()
 
 
 @dataclass(frozen=True)
@@ -278,7 +265,8 @@ class GpFitConfig:
     per parameter, on top of the explicit ``init``. Ascent starts at step
     ``STEP0``, accepts a step only if it improves the objective (halving it
     up to ``MAX_HALVINGS`` times), grows an accepted step by ``STEP_GROWTH``,
-    and stops once the improvement drops below ``tol``.
+    and stops once the improvement drops below ``tol``. Settings are checked
+    when built, and ``init`` is stored as a tuple of floats.
     """
 
     restarts: int = 3
@@ -286,6 +274,19 @@ class GpFitConfig:
     tol: float = 1e-7
     init: tuple[float, float, float] = (1.0, 1.0, 0.1)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_types(self, "GpFitConfig", FitError)
+        for name in ("restarts", "max_iters", "seed"):
+            if getattr(self, name) < 0:
+                raise FitError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.tol >= 0.0:
+            raise FitError(f"tol must be a non-negative real, got {self.tol!r}")
+        init = self.init if isinstance(self.init, (tuple, list)) and len(self.init) == 3 else ()
+        reals = all(isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 < v <= sys.float_info.max for v in init)
+        if not (init and reals):
+            raise FitError(f"init must be three finite positive reals, got {self.init!r}")
+        object.__setattr__(self, "init", tuple(float(v) for v in init))
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,13 +355,14 @@ def _ascend(dist: _Distances, y, theta0, config: GpFitConfig):
     ascent continues from, not at the last one, which the ``tol`` test or
     the ``max_iters`` cap ends on. A trial is rejected, and the step halved,
     when it does not improve the objective, when its covariance cannot be
-    factored, or when a parameter overflows or underflows.
+    factored or holds an inf or NaN, or when a parameter overflows or
+    underflows. A start that fails so scores -inf.
     """
     theta = np.asarray(theta0, dtype=np.float64)
     try:
         value, gradient = _objective(dist, y, theta)
         grad = gradient()
-    except (SingularMatrixError, FloatingPointError):
+    except (SingularMatrixError, NonFiniteCovarianceError, FloatingPointError):
         return -np.inf, theta, []
     path = [(value, *theta)]
     step = STEP0
@@ -377,7 +379,7 @@ def _ascend(dist: _Distances, y, theta0, config: GpFitConfig):
                 accepted = math.isfinite(trial_value) and trial_value > value
                 if accepted and not (last_iteration or trial_value - value < config.tol):
                     grad = gradient()
-            except (SingularMatrixError, FloatingPointError):
+            except (SingularMatrixError, NonFiniteCovarianceError, FloatingPointError):
                 accepted = False
             if accepted:
                 break
@@ -404,7 +406,8 @@ def load_model(path: str | Path) -> FittedGp:
         payload["n"], payload["d"]
     )
     y = np.array([float(v) for v in payload["y"]], dtype=np.float64)
-    L, jitter, alpha, mll = _factor(_distances(X), params, y, ladder=(float(payload["jitter"]),))
+    X, y = training_arrays(X, y, ValueError)
+    L, jitter, alpha, mll = _factor(_Distances(pairwise_sqdist(X, X)), params, y, ladder=(float(payload["jitter"]),))
     return FittedGp(X=X, y=y, params=params, L=np.ascontiguousarray(L), alpha=alpha, jitter=jitter, mll=mll)
 
 
@@ -417,25 +420,14 @@ class GpRegressor:
         """Fit hyperparameters by maximum log marginal likelihood.
 
         Runs ascent from the configured init plus ``restarts`` seeded draws and
-        keeps the run with the highest final objective; bad data or settings
-        raise ``FitError`` before the first evaluation.
+        keeps the run with the highest final objective; bad data raises
+        ``FitError`` before the first evaluation.
         """
-        X, y = training_arrays(X, y)
+        X, y = training_arrays(X, y, FitError)
         cfg = self.config
-        check_types(cfg, "GpFitConfig", FitError)
-        for name in ("restarts", "max_iters", "seed"):
-            if getattr(cfg, name) < 0:
-                raise FitError(f"{name} must be >= 0, got {getattr(cfg, name)}")
-        if not cfg.tol >= 0.0:
-            raise FitError(f"tol must be a non-negative real, got {cfg.tol!r}")
-        init = cfg.init if isinstance(cfg.init, (tuple, list)) and len(cfg.init) == 3 else ()
-        reals = all(isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 < v < math.inf for v in init)
-        if not (init and reals):
-            raise FitError(f"init must be three finite positive reals, got {cfg.init!r}")
-
         dist = _Distances(pairwise_sqdist(X, X))
         rng = np.random.default_rng(cfg.seed)
-        starts = [np.log(np.asarray(init, dtype=np.float64))]
+        starts = [np.log(np.asarray(cfg.init, dtype=np.float64))]
         for _ in range(cfg.restarts):
             starts.append(rng.uniform(-2.0, 2.0, size=3))
 

@@ -84,7 +84,9 @@ class VariantConfig:
     ``train_domains`` are held out for regressor training; every other
     domain is evaluated. A list or tuple of domain names is stored as a
     tuple; anything else, a bare string included, is rejected rather than
-    split into letters.
+    split into letters. Every setting is checked when the config is built:
+    a wrong type or an inconsistent setting raises ``ConfigError``, and a
+    value that passes is used as given.
     """
 
     name: str
@@ -105,9 +107,6 @@ class VariantConfig:
             got = f"the string {self.train_domains!r}" if isinstance(self.train_domains, str) else repr(self.train_domains)
             raise ConfigError(f"{self.name}: train_domains must be a list of domain names, got {got}")
         object.__setattr__(self, "train_domains", tuple(self.train_domains))
-
-    def validate(self) -> None:
-        """Reject a wrong type or an inconsistent setting; a value that passes is used as given."""
         check_types(self, self.name, ConfigError)
         if "/" in self.name or "\0" in self.name or len(self.name.encode("utf-8")) > 200:
             raise ConfigError(f"{self.name!r}: a variant name names its files: no '/' or NUL, at most 200 UTF-8 bytes")
@@ -356,7 +355,6 @@ def run_variant(
     keeps its replay cache in ``out_dir / "cache"``. ``out_dir`` is made
     before the first call, so an unusable one costs no call.
     """
-    cfg.validate()
     cohort = cohort or default_cohort()
     train_blocks, test_blocks = _split_blocks(cfg, corpus)
     out = Path(out_dir) if out_dir is not None else None
@@ -488,10 +486,10 @@ DEFAULT_SYNTH_SPEC = (
 DEFAULT_TRAIN_DOMAINS = ("number_theory", "market_research", "modern_poetry")
 
 
-def default_synthetic_corpus(seed: int = 0, per_domain: int = 10) -> list[Exercise]:
+def default_synthetic_corpus(per_domain: int = 10) -> list[Exercise]:
     """Six synthetic domains, two per major category, with mock-consistent keys."""
     spec = tuple((d, c, per_domain) for d, c in DEFAULT_SYNTH_SPEC)
-    return make_synthetic_corpus(spec, seed=seed, key_fn=mock_correct_label)
+    return make_synthetic_corpus(spec, key_fn=mock_correct_label)
 
 
 def default_suite_configs(**shared) -> list[VariantConfig]:
@@ -533,14 +531,13 @@ def run_suite(
 ) -> SuiteResult:
     """Run every variant sequentially and render both report shapes.
 
-    Every config is validated, and the variant names checked for repeats,
-    before the first backend call. The variants share one ``_SuiteWork``:
-    each distinct backend call, protocol job, dataset, fit and stem
-    embedding is computed once per suite. The reports are rendered from the
-    ``results.json`` payload, by the function ``rerender_reports`` uses.
+    Each config checked itself when it was built, and the variant names are
+    checked for repeats before the first backend call. The variants share
+    one ``_SuiteWork``: each distinct backend call, protocol job, dataset,
+    fit and stem embedding is computed once per suite. The reports are
+    rendered from the ``results.json`` payload, by the function
+    ``rerender_reports`` uses.
     """
-    for cfg in configs:
-        cfg.validate()
     names = [cfg.name for cfg in configs]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:

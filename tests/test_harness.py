@@ -81,19 +81,17 @@ class RecordingBackend:
 
 class TestConfigValidation:
     def test_regressor_requires_co_learning(self):
-        cfg = cfg_with("bad", co_learning=False, regressor="gp", pareto="global")
         with pytest.raises(ConfigError, match="co_learning"):
-            run_variant(cfg, small_corpus(), backend=ExplodingBackend())
+            run_variant(cfg_with("bad", co_learning=False, regressor="gp", pareto="global"), small_corpus(),
+                        backend=ExplodingBackend())
 
     def test_pareto_requires_regressor(self):
-        cfg = cfg_with("bad", regressor="none", pareto="global")
         with pytest.raises(ConfigError, match="requires a regressor"):
-            run_variant(cfg, small_corpus(), backend=ExplodingBackend())
+            run_variant(cfg_with("bad", regressor="none", pareto="global"), small_corpus(), backend=ExplodingBackend())
 
     def test_regressor_requires_pareto(self):
-        cfg = cfg_with("bad", regressor="gp", pareto="none")
         with pytest.raises(ConfigError, match="pareto"):
-            run_variant(cfg, small_corpus(), backend=ExplodingBackend())
+            run_variant(cfg_with("bad", regressor="gp", pareto="none"), small_corpus(), backend=ExplodingBackend())
 
     def test_unknown_kinds(self):
         for kw in ({"regressor": "forest"}, {"pareto": "cosmic"}, {"backend": "psychic"}):
@@ -126,10 +124,9 @@ class TestConfigValidation:
         assert set(unchecked) <= {"train_domains", "init"}, unchecked
 
     def test_validation_happens_before_any_backend_call(self):
-        cfg = cfg_with("bad", regressor="gp", pareto="none")
         backend = ExplodingBackend()
         with pytest.raises(ConfigError):
-            run_variant(cfg, small_corpus(), backend=backend)
+            run_variant(cfg_with("bad", regressor="gp", pareto="none"), small_corpus(), backend=backend)
 
 
 class TestSoloVariants:
@@ -384,8 +381,6 @@ def test_default_suite_configs_match_component_matrix():
         ("nn-global", True, True, "nn", "global"),
         ("nn-local", True, True, "nn", "local"),
     ]
-    for cfg in configs:
-        cfg.validate()
 
 
 def test_default_suite_configs_share_variant_defaults():

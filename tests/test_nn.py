@@ -83,26 +83,26 @@ def test_non_finite_training_data_raises_before_the_first_step(bad, value):
 @pytest.mark.parametrize(
     "config, message",
     [
-        (MlpConfig(hidden=0), "hidden"),
-        (MlpConfig(hidden=-3), "hidden"),
-        (MlpConfig(iters=0), "iters"),
-        (MlpConfig(iters=-1), "iters"),
-        (MlpConfig(learning_rate=0.0), "learning_rate"),
-        (MlpConfig(learning_rate=-0.1), "learning_rate"),
-        (MlpConfig(learning_rate=math.nan), "learning_rate"),
-        (MlpConfig(learning_rate=math.inf), "learning_rate"),
+        (dict(hidden=0), "hidden"),
+        (dict(hidden=-3), "hidden"),
+        (dict(iters=0), "iters"),
+        (dict(iters=-1), "iters"),
+        (dict(learning_rate=0.0), "learning_rate"),
+        (dict(learning_rate=-0.1), "learning_rate"),
+        (dict(learning_rate=math.nan), "learning_rate"),
+        (dict(learning_rate=math.inf), "learning_rate"),
         # these four ids keep the wording the messages had before they named MlpConfig
-        pytest.param(MlpConfig(hidden=2.5), "^MlpConfig: hidden must be int, got 2.5$",
+        pytest.param(dict(hidden=2.5), "^MlpConfig: hidden must be int, got 2.5$",
                      id="config8-^hidden must be an int, got 2.5$"),
-        pytest.param(MlpConfig(hidden=True), "^MlpConfig: hidden must be int, got True$",
+        pytest.param(dict(hidden=True), "^MlpConfig: hidden must be int, got True$",
                      id="config9-^hidden must be an int, got True$"),
-        pytest.param(MlpConfig(iters=2.5), "^MlpConfig: iters must be int, got 2.5$",
+        pytest.param(dict(iters=2.5), "^MlpConfig: iters must be int, got 2.5$",
                      id="config10-^iters must be an int, got 2.5$"),
-        pytest.param(MlpConfig(learning_rate="0.2"), "^MlpConfig: learning_rate must be float, got '0.2'$",
+        pytest.param(dict(learning_rate="0.2"), "^MlpConfig: learning_rate must be float, got '0.2'$",
                      id="config11-^learning_rate must be a real, got '0.2'$"),
-        pytest.param(MlpConfig(seed=1.5), "^MlpConfig: seed must be int, got 1.5$", id="float-seed"),
-        pytest.param(MlpConfig(seed=-1), "^seed must be >= 0, got -1$", id="negative-seed"),
-        pytest.param(MlpConfig(seed=True), "^MlpConfig: seed must be int, got True$", id="bool-seed"),
+        pytest.param(dict(seed=1.5), "^MlpConfig: seed must be int, got 1.5$", id="float-seed"),
+        pytest.param(dict(seed=-1), "^seed must be >= 0, got -1$", id="negative-seed"),
+        pytest.param(dict(seed=True), "^MlpConfig: seed must be int, got True$", id="bool-seed"),
     ],
 )
 def test_bad_config_raises_before_the_first_step(monkeypatch, config, message):
@@ -112,7 +112,7 @@ def test_bad_config_raises_before_the_first_step(monkeypatch, config, message):
     X, y = _pattern_dataset()
     monkeypatch.setattr(np.random, "default_rng", no_weights)
     with pytest.raises(FitError, match=message):
-        MlpRegressor(config).fit(X, y)
+        MlpRegressor(MlpConfig(**config)).fit(X, y)
 
 
 def _assert_same_fit(X, y, config):

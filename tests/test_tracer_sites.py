@@ -1,17 +1,23 @@
-"""Every entry point that the benchmark's tracer wraps still resolves.
+"""Every entry point that the benchmark's tracer wraps, and every name the benchmark imports, still resolves.
 
 ``perfbench/tracer.py`` replaces these functions by name only when a traced
-benchmark run starts, so a renamed or moved entry point would otherwise
-surface there alone. This module resolves the same names without
-installing the tracer.
+benchmark run starts, and ``perfbench/run.py`` and ``perfbench/child.py``
+import their ``peermatch`` names only when a run starts, so a renamed or
+moved entry point would otherwise surface there alone. This module resolves
+the same names without installing the tracer or running the benchmark.
 """
 
+import ast
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from peermatch.harness import SUITE_GP_FIT
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 # wrapped by Tracer.install directly, outside its SPANS table
 INSTALLED_SITES = (
@@ -40,3 +46,28 @@ def test_every_wrap_site_resolves(monkeypatch):
         if not callable(getattr(target, attr, None)):
             missing.append(f"{module}.{owner + '.' if owner else ''}{attr}")
     assert not missing, f"entry points the benchmark's tracer wraps are gone: {missing}"
+
+
+def test_every_peermatch_name_the_benchmark_imports_resolves():
+    imported = [
+        (node.module, alias.name)
+        for script in ("run.py", "child.py")
+        for node in ast.walk(ast.parse((PERFBENCH / script).read_text("utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "peermatch"
+        for alias in node.names
+    ]
+    assert ("peermatch.harness", "SUITE_GP_FIT") in imported
+    missing = []
+    for module, name in imported:
+        target = importlib.import_module(module)
+        # a name is an attribute of its module, or a submodule of a package
+        submodule = hasattr(target, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None
+        if not (hasattr(target, name) or submodule):
+            missing.append(f"{module}.{name}")
+    assert not missing, f"names the benchmark imports are gone: {missing}"
+
+
+def test_the_suite_gp_init_the_benchmark_reads_is_three_positive_floats():
+    init = SUITE_GP_FIT.init
+    assert isinstance(init, tuple) and len(init) == 3
+    assert all(type(v) is float and 0.0 < v < math.inf for v in init), init
