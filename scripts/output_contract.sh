@@ -9,7 +9,9 @@
 # inside the repository. BLAS runs on one thread. The commands are the seed-42,
 # seed-11 and seed-1 mock suites, the seed-7 cache suite (its replay cache included), `report` on
 # a copy of each suite's results.json (so that the reports `suite` wrote are
-# compared too), a 20-repeat mock profile, a 5-repeat profile through the
+# compared too), a 20-repeat mock profile, the 800-repeat seed-1 mock profile
+# that perfbench's profile-mock workload runs (89,600 answers, so a change that
+# moves one draw in a long run of repeats shows), a 5-repeat profile through the
 # replay cache (its entries included), an `ingest` of the fixture corpus, and
 # two config files written under the temporary directory: `suite --config` with top-level `seed`,
 # `train_domains` and `mock` and a variant that sets its own `mock_bonus`, and
@@ -80,6 +82,7 @@ run_commands() {  # source tree, output directory
             peermatch report --out "$out/report-$suite"
         done
         peermatch profile fixture --repeats 20 --seed 3 --out "$out/profile"
+        peermatch profile fixture --repeats 800 --seed 1 --backend mock --out "$out/profile-800"
         peermatch profile fixture --repeats 5 --seed 3 --backend cache --out "$out/profile-cache"
         peermatch ingest "$1/src/peermatch/data/cmmlu_fixture" --out "$out/ingest"
         peermatch suite --config "$tmp/suite.json" --out "$out/suite-config"

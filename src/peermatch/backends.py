@@ -93,6 +93,7 @@ class MockBackend:
             f"mock/v{self.prompts.version}/seed={seed}"
             f"/base={base_difficulty!r}/bonus={complementarity_bonus!r}"
         )
+        self._seed_text = str(seed)
         # per instance and bounded: a profile sends one question's repeats back to back
         self._read_question = lru_cache(maxsize=16)(self._question)
 
@@ -119,13 +120,13 @@ class MockBackend:
                 labels.append(line[0])
         return stem_part.strip(), tuple(labels)
 
-    def _question(self, prompt: str) -> tuple[str, tuple[str, ...], str | None, int]:
-        """What a question prompt alone decides: stem, labels, believed label (None without
-        labels) and complementarity (0 or 1). The same for every decode seed."""
+    def _question(self, prompt: str) -> tuple[str, str | None, float, tuple[str, ...]]:
+        """What a question prompt alone decides: stem, believed label (None without labels),
+        the chance of answering it correctly and the wrong labels. The same for every decode seed."""
         p = self.prompts
         stem, labels = self._split_stem_and_labels(prompt)
         if not labels:
-            return stem, labels, None, 0
+            return stem, None, 0.0, ()
         belief = mock_correct_label(stem, labels)
 
         role_region = prompt.split(p.question_header, 1)[0]
@@ -134,19 +135,18 @@ class MockBackend:
         if p.summary_header in prompt:
             summary_region = prompt.split(p.summary_header, 1)[1]
             partner_subject = self._detect(p.subject, summary_region)
-        return stem, labels, belief, 1 if own_subject * partner_subject == -1 else 0
+        complementary = 1 if own_subject * partner_subject == -1 else 0
+        prob = min(1.0, max(0.0, self.base_difficulty + self.complementarity_bonus * complementary))
+        return stem, belief, prob, tuple([lab for lab in labels if lab != belief])
 
     def _answer(self, prompt: str, params: DecodeParams) -> str:
-        stem, labels, belief, complementary = self._read_question(prompt)
-        if not labels:
+        stem, belief, prob, wrong = self._read_question(prompt)
+        if belief is None:
             return "I cannot find any options to choose from."
-        prob = self.base_difficulty + self.complementarity_bonus * complementary
-        prob = min(1.0, max(0.0, prob))
-        seed, key = str(self.seed), params.cache_key()
+        seed, key = self._seed_text, params.cache_key()
         if unit_uniform("draw", seed, key, stem) < prob:
             choice = belief
         else:
-            wrong = [lab for lab in labels if lab != belief]
             choice = wrong[stable_u64("miss", seed, key, stem) % len(wrong)]
         return f"Weighing the listed claims against the stated assumptions, option {choice} holds up best.\nAnswer: {choice}"
 

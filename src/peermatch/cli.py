@@ -138,10 +138,11 @@ def _cmd_profile(args) -> int:
     probe = Learner(id="probe", persona=Persona(0, 0))
     # a generator: each record holds its prompt, so a list of every answer would hold every prompt at once.
     # Exercise-major: one prompt's repeats reach the backend back to back, so the mock reads it once.
+    repeats = [DecodeParams(seed=repeat) for repeat in range(args.repeats)]  # the same for every exercise
     records = (
-        solve_exercise(probe, exercise, backend, params=DecodeParams(seed=repeat), use_persona=False)
+        solve_exercise(probe, exercise, backend, params=params, use_persona=False)
         for exercise in exercises
-        for repeat in range(args.repeats)
+        for params in repeats
     )
     profile = difficulty_profile(exercises, records, args.repeats)
     profile.save(out / "difficulty.csv")

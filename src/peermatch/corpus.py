@@ -43,6 +43,8 @@ class Exercise:
     def __post_init__(self) -> None:
         if not self.domain:
             raise CorpusError(f"exercise {self.id!r} has empty domain")
+        if len(self.options) == 1:
+            raise CorpusError(f"exercise {self.id!r} has one option; a multiple-choice item needs at least two")
         if self.options and self.key not in self.labels:
             raise CorpusError(f"exercise {self.id!r}: key {self.key!r} not among labels {self.labels}")
 

@@ -77,10 +77,6 @@ class ParetoFront:
         if any(m.learner_id == self.anchor for m in self.members):
             raise ValueError("front members must exclude the anchor")
 
-    @property
-    def member_ids(self) -> tuple[str, ...]:
-        return tuple(m.learner_id for m in self.members)
-
 
 def pareto_front(candidates: Iterable[ScoreVector], anchor: str, mode: str = "global") -> ParetoFront:
     """Exactly the non-dominated candidates, anchor removed before filtering.

@@ -15,9 +15,8 @@ in order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .backends import CompletionBackend, DecodeParams, TransportError
 from .corpus import Exercise, strip_options
@@ -29,9 +28,11 @@ class ProtocolError(ValueError):
     """Invalid protocol input, e.g. a self-pairing or an option-free item."""
 
 
-@dataclass(frozen=True)
-class CallEvent:
-    """One backend call of a protocol job: its step, who prompted what, and the raw reply."""
+class CallEvent(NamedTuple):
+    """One backend call of a protocol job: its step, who prompted what, and the raw reply.
+
+    A named tuple, which Python builds in C: a profile builds one per answer.
+    """
 
     step: int
     actor_id: str
@@ -43,14 +44,14 @@ class CallEvent:
         return sha256_hex(self.prompt)
 
 
-@dataclass(frozen=True)
-class ResponseRecord:
+class ResponseRecord(NamedTuple):
     """One protocol job, scored for the anchoring learner.
 
     ``partner_id`` is None for a solo answer, whose one call is step 0; a
     pair's calls are steps 1, 1, 3 and 4 (step 2, the exchange, makes no
     call). ``choice`` is the label parsed from the last reply, or None for
-    an abstention, and ``r`` is 1 iff it equals the key.
+    an abstention, and ``r`` is 1 iff it equals the key. A named tuple, like
+    ``CallEvent``, so it equals a plain tuple of the same values.
     """
 
     learner_id: str
@@ -115,10 +116,21 @@ def solo_prompt(prompts: PromptSet, system_text: str, exercise: Exercise) -> str
     )
 
 
-# a profile sends one exercise's repeats back to back, so a few entries serve every repeat
-@lru_cache(maxsize=16)
+# A profile sends one exercise's repeats back to back, so a few entries serve every repeat. Keyed on
+# the Exercise object's identity, which spares hashing its six fields on every call; each entry holds
+# its exercise, so no other object can take that id while the entry lives.
+_SOLO_PROMPTS: dict[tuple[str, int], tuple[Exercise, str]] = {}
+_SOLO_PROMPTS_MAX = 16
+
+
 def _solo_prompt(system_text: str, exercise: Exercise) -> str:
-    return solo_prompt(default_prompts(), system_text, exercise)
+    key = (system_text, id(exercise))
+    entry = _SOLO_PROMPTS.get(key)
+    if entry is None:
+        if len(_SOLO_PROMPTS) >= _SOLO_PROMPTS_MAX:
+            del _SOLO_PROMPTS[next(iter(_SOLO_PROMPTS))]  # the oldest
+        entry = _SOLO_PROMPTS[key] = (exercise, solo_prompt(default_prompts(), system_text, exercise))
+    return entry[1]
 
 
 def draft_prompt(prompts: PromptSet, system_text: str, bare: Exercise) -> str:

@@ -7,10 +7,12 @@ gradient, and a full double-loop dominance scan for the Pareto front.
 forms of the NN step loop and the GP ascent's objective and gradient, one
 temporary per operation, ``reference_factor`` climbs the jitter ladder with
 ``np.linalg.cholesky`` on a fresh copy per rung, and ``reference_embed``
-hashes every n-gram into a NumPy vector with no memo; the library's versions
-must match them bit for bit. ``covariance_matrix`` is the one exception: it
-builds the library's own noisy covariance, bits included, for tests that
-need it as a matrix.
+hashes every n-gram into a NumPy vector with no memo, and
+``reference_mock_answer`` applies the mock backend's answer rule with the
+clamp and the wrong labels computed afresh on every call; the library's
+versions must match them bit for bit. ``covariance_matrix`` is the one
+exception: it builds the library's own noisy covariance, bits included, for
+tests that need it as a matrix. ``front_ids`` reads a front's member ids.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import math
 import numpy as np
 
 from peermatch import gp
+from peermatch.backends import DecodeParams, mock_correct_label
 from peermatch.blas import cho_solve, dpotri, one_blas_thread
 from peermatch.gp import JITTER_LADDER, FitError, KernelParams, SingularMatrixError
-from peermatch.hashing import stable_u64
+from peermatch.hashing import stable_u64, unit_uniform
 from peermatch.nn import FittedMlp, MlpConfig
-from peermatch.pareto import ScoreVector, dominates
+from peermatch.pareto import ParetoFront, ScoreVector, dominates
 
 
 def covariance_matrix(X: np.ndarray, p: KernelParams) -> np.ndarray:
@@ -94,6 +97,10 @@ def finite_difference_gradient(X: np.ndarray, y: np.ndarray, p: KernelParams, h:
             - dense_mll(X, y, KernelParams.from_log_vector(minus))
         ) / (2.0 * h)
     return grad
+
+
+def front_ids(front: ParetoFront) -> tuple[str, ...]:
+    return tuple(m.learner_id for m in front.members)
 
 
 def brute_force_front(candidates: list[ScoreVector], anchor: str) -> set[str]:
@@ -200,3 +207,25 @@ def reference_embed(text: str, dim: int = 32) -> np.ndarray:
     if norm > 0.0:
         vec /= norm
     return vec
+
+
+def reference_mock_answer(
+    seed: int,
+    base_difficulty: float,
+    complementarity_bonus: float,
+    stem: str,
+    labels: tuple[str, ...],
+    complementary: int,
+    params: DecodeParams,
+) -> str:
+    """The mock backend's reply to a prompt that shows options, every quantity computed on this call."""
+    belief = mock_correct_label(stem, labels)
+    prob = base_difficulty + complementarity_bonus * complementary
+    prob = min(1.0, max(0.0, prob))
+    seed, key = str(seed), params.cache_key()
+    if unit_uniform("draw", seed, key, stem) < prob:
+        choice = belief
+    else:
+        wrong = [lab for lab in labels if lab != belief]
+        choice = wrong[stable_u64("miss", seed, key, stem) % len(wrong)]
+    return f"Weighing the listed claims against the stated assumptions, option {choice} holds up best.\nAnswer: {choice}"

@@ -20,7 +20,7 @@ from peermatch.backends import (
     TransportError,
     mock_correct_label,
 )
-from peermatch.corpus import fixture_corpus_path, load_corpus, make_synthetic_corpus, strip_options
+from peermatch.corpus import Exercise, fixture_corpus_path, load_corpus, make_synthetic_corpus, strip_options
 from peermatch.personas import Learner, Persona
 from peermatch.protocol import (
     draft_prompt,
@@ -31,6 +31,7 @@ from peermatch.protocol import (
     summary_prompt,
 )
 from doubles import FunctionBackend, torn_open
+from oracles import reference_mock_answer
 
 
 def test_mock_is_pure(prompts, exercise, learner):
@@ -106,6 +107,34 @@ def test_mock_question_memo_changes_no_reply(prompts):
         assert replies == [MockBackend(seed=seed).complete(prompt, params) for prompt, params in calls]
         assert backend._read_question.cache_info().hits > 0
     assert "I cannot find any options to choose from." in replies
+
+
+@pytest.mark.parametrize(
+    "base, bonus",
+    # clamped: 0.9 + 0.3 and 1.2 above 1, -0.1 and 0.2 - 0.5 below 0
+    [(0.4, 0.3), (0.9, 0.3), (1.2, 0.0), (-0.1, 0.3), (0.2, -0.5)],
+)
+def test_mock_answers_by_the_reference_rule(prompts, base, bonus):
+    own = prompts.system(Persona(1, 0))
+    # a summary region with the opposite subject descriptor makes the re-answer complementary; the same one does not
+    opposite, same = (f"Their view is grounded in {prompts.subject_phrase(s)}." for s in (-1, 1))
+    backend = MockBackend(seed=7, base_difficulty=base, complementarity_bonus=bonus)
+    answers = []
+    for n in (2, 3, 4):
+        e = Exercise(id=f"d/{n}", stem=f"Which of {n} claims holds?", options=tuple(f"claim {i}" for i in range(n)),
+                     key="A", domain="d", category="STEM")
+        for prompt, complementary in (
+            (solo_prompt(prompts, own, e), 0),
+            (reanswer_prompt(prompts, own, e, same), 0),
+            (reanswer_prompt(prompts, own, e, opposite), 1),
+        ):
+            for seed in [None, *range(60)]:
+                params = DecodeParams(seed=seed)
+                reply = backend.complete(prompt, params)
+                assert reply == reference_mock_answer(7, base, bonus, e.stem, e.labels, complementary, params)
+                answers.append(reply)
+    assert len(answers) == 3 * 3 * 61
+    assert len({reply[-1] for reply in answers}) > 1
 
 
 class CountingBackend:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from peermatch import protocol
+from peermatch import cli, protocol
 from peermatch.backends import MockBackend
 from peermatch.cli import main
 from peermatch.corpus import fixture_corpus_path, load_corpus, save_corpus
@@ -51,12 +51,26 @@ def test_profile_builds_each_solo_prompt_once(tmp_path, capsys, monkeypatch, ite
         return solo_prompt(prompts, system_text, exercise)
 
     monkeypatch.setattr(protocol, "solo_prompt", counted)
-    protocol._solo_prompt.cache_clear()
+    protocol._SOLO_PROMPTS.clear()
     assert main(["profile", str(corpus), "--repeats", "5", "--seed", "1", "--out", str(tmp_path / "out")]) == 0
     assert built == [e.id for e in load_corpus(corpus)]
     assert len(built) == items
-    memo = protocol._solo_prompt.cache_info()  # bounded: 112 items leave at most maxsize entries
-    assert memo.currsize == min(items, memo.maxsize)
+    # bounded: 112 items leave at most the memo's maximum of entries
+    assert len(protocol._SOLO_PROMPTS) == min(items, protocol._SOLO_PROMPTS_MAX)
+
+
+def test_profile_answers_each_exercise_at_every_repeat_seed_in_turn(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus.csv"
+    save_corpus(load_corpus(fixture_corpus_path())[:4], corpus)
+    calls, solve_exercise = [], cli.solve_exercise
+
+    def recorded(learner, exercise, backend, *, params, use_persona):
+        calls.append((exercise.id, params.seed))
+        return solve_exercise(learner, exercise, backend, params=params, use_persona=use_persona)
+
+    monkeypatch.setattr(cli, "solve_exercise", recorded)
+    assert main(["profile", str(corpus), "--repeats", "6", "--seed", "1", "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(e.id, seed) for e in load_corpus(corpus) for seed in range(6)]
 
 
 def _variant_config(tmp_path, variant=(), **extra):

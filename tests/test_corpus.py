@@ -215,3 +215,11 @@ def test_labels_read_once_leave_fields_equality_and_copies_alone(exercise):
     unread = dataclasses.replace(exercise, options=())
     assert "labels" not in vars(unread)
     assert bare == unread and hash(bare) == hash(unread)
+
+
+def test_one_option_exercise_is_rejected_and_an_option_free_one_kept():
+    fields = dict(id="d/0", stem="Which claim holds?", key="A", domain="d", category="STEM")
+    with pytest.raises(CorpusError, match="'d/0' has one option"):
+        Exercise(options=("only claim",), **fields)
+    assert Exercise(options=(), **fields).labels == ()
+    assert Exercise(options=("first", "second"), **fields).labels == ("A", "B")

@@ -34,6 +34,7 @@ from peermatch.pareto import ScoreVector
 from peermatch.personas import default_cohort
 from peermatch.protocol import CallEvent
 from doubles import FunctionBackend
+from oracles import front_ids
 
 FAST_GP = GpFitConfig(restarts=0, max_iters=30, tol=1e-5)
 FAST_NN = MlpConfig(iters=300)
@@ -257,7 +258,7 @@ def test_cold_start_falls_back_to_global_front(caplog):
         front, fell_back = resolve_front("L0", {}, [], vectors, mode="local")
     assert fell_back
     assert front.mode == "global"
-    assert "L0" not in front.member_ids
+    assert "L0" not in front_ids(front)
     assert any("falling back" in rec.message for rec in caplog.records)
 
 
@@ -277,7 +278,7 @@ def test_resolve_front_local_mode_with_history():
     front, fell_back = resolve_front("L0", index_scores(history), blocks, [], mode="local")
     assert not fell_back
     assert front.mode == "local"
-    assert front.member_ids == ("L5",)
+    assert front_ids(front) == ("L5",)
 
 
 @pytest.mark.usefixtures("fast_fits")

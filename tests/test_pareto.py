@@ -21,7 +21,7 @@ from peermatch.pareto import (
 )
 from peermatch.personas import Learner, enumerate_personas
 from peermatch.protocol import ResponseRecord
-from oracles import brute_force_front
+from oracles import brute_force_front, front_ids
 
 
 def sv(lid, *values, domains=None):
@@ -87,7 +87,7 @@ class TestParetoFront:
         # scaled version of {(3,1),(1,3),(2,2),(1,1)}: the last is dominated
         cands = [sv("a", 0.3, 0.1), sv("b", 0.1, 0.3), sv("c", 0.2, 0.2), sv("d", 0.1, 0.1)]
         front = pareto_front(cands, anchor="z")
-        assert front.member_ids == ("a", "b", "c")
+        assert front_ids(front) == ("a", "b", "c")
 
     def test_identical_candidates_all_retained(self):
         cands = [sv(f"l{i}", 0.4, 0.4) for i in range(4)]
@@ -95,13 +95,13 @@ class TestParetoFront:
 
     def test_single_candidate(self):
         front = pareto_front([sv("only", 0.2, 0.9)], anchor="z")
-        assert front.member_ids == ("only",)
+        assert front_ids(front) == ("only",)
 
     def test_anchor_removed_before_filtering(self):
         # the anchor would dominate everyone; removing it first must keep "b"
         cands = [sv("anchor", 1.0, 1.0), sv("b", 0.5, 0.5)]
         front = pareto_front(cands, anchor="anchor")
-        assert front.member_ids == ("b",)
+        assert front_ids(front) == ("b",)
 
     def test_empty_after_anchor_removal(self):
         with pytest.raises(EmptyCandidatesError):
@@ -118,7 +118,7 @@ class TestParetoFront:
         if all(v.learner_id == anchor for v in vs):
             return
         front = pareto_front(vs, anchor=anchor)
-        assert set(front.member_ids) == brute_force_front(vs, anchor)
+        assert set(front_ids(front)) == brute_force_front(vs, anchor)
 
 
 def _solo(lid, block, outcomes):
@@ -222,8 +222,8 @@ def test_scripted_regressor_picks_favorite():
     # partner subject preference is x[2]; personas L3..L5 have subject 0, L0..L2 have -1
     chosen = rank_candidates(cohort["L0"], front, _FavorSecondCoordinate(), block, HashingEmbedder(), cohort)[0].learner_id
     best = max(
-        front.member_ids,
-        key=lambda pid: (cohort[pid].persona.subject_pref, pid == min(front.member_ids)),
+        front_ids(front),
+        key=lambda pid: (cohort[pid].persona.subject_pref, pid == min(front_ids(front))),
     )
     assert cohort[chosen].persona.subject_pref == cohort[best].persona.subject_pref
 
@@ -284,7 +284,7 @@ def test_dump_front_shape():
     dump = dump_front(front, scored)
     assert dump["mode"] == "global"
     assert dump["anchor"] == "L0"
-    assert {m["learner_id"] for m in dump["members"]} == set(front.member_ids)
+    assert {m["learner_id"] for m in dump["members"]} == set(front_ids(front))
     member = dump["members"][0]
     assert set(member) == {"learner_id", "scores", "mean", "variance", "value"}
 

@@ -3,8 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from peermatch.backends import DecodeParams, MockBackend, TransportError
+from peermatch.hashing import sha256_hex
 from peermatch.protocol import (
+    CallEvent,
     ProtocolError,
+    ResponseRecord,
     _parse_choice,
     parse_choice,
     solve_exercise,
@@ -92,6 +95,20 @@ def test_solo_record_holds_its_one_call(exercise, learner):
     record = solve_exercise(learner, exercise, FunctionBackend(capture))
     assert record.partner_id is None
     assert [(c.step, c.actor_id, c.prompt, c.reply) for c in record.calls] == [(0, learner.id, seen[0], "Answer: B")]
+
+
+def test_records_keep_their_fields_and_stay_read_only(exercise, learner):
+    assert CallEvent._fields == ("step", "actor_id", "prompt", "reply")
+    assert ResponseRecord._fields == ("learner_id", "partner_id", "exercise_id", "choice", "r", "calls")
+    record = solve_exercise(learner, exercise, FunctionBackend(lambda p, d: "Answer: B"))
+    (call,) = record.calls
+    assert call.prompt_hash == sha256_hex(call.prompt)
+    assert record == (learner.id, None, exercise.id, "B", 1, ((0, learner.id, call.prompt, "Answer: B"),))
+    with pytest.raises(AttributeError):
+        record.r = 0
+    with pytest.raises(AttributeError):
+        call.reply = "Answer: C"
+    assert (record.r, call.reply) == (1, "Answer: B")
 
 
 def test_solve_prompt_contains_system_stem_options(exercise, learner, prompts):
