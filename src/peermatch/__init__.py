@@ -7,7 +7,7 @@ those gains, and picking partners from Pareto fronts inside a seeded,
 reproducible experiment harness.
 """
 
-from .backends import CachingBackend, DecodeParams, HttpBackend, LiveConfig, MockBackend
+from .backends import CachingBackend, HttpBackend, LiveConfig, MockBackend
 from .corpus import Exercise, ExerciseBlock, group_by_domain, load_corpus
 from .features import HashingEmbedder, build_dataset, index_scores, pair_gain
 from .gp import FittedGp, GpFitConfig, GpRegressor, KernelParams
@@ -20,7 +20,7 @@ from .protocol import exchange_and_resolve, parse_choice, solve_exercise
 __version__ = "0.1.0"
 
 __all__ = [
-    "CachingBackend", "DecodeParams", "HttpBackend", "LiveConfig", "MockBackend",
+    "CachingBackend", "HttpBackend", "LiveConfig", "MockBackend",
     "Exercise", "ExerciseBlock", "group_by_domain", "load_corpus",
     "HashingEmbedder", "build_dataset", "index_scores", "pair_gain",
     "FittedGp", "GpFitConfig", "GpRegressor", "KernelParams",

@@ -1,10 +1,10 @@
 """Completion backends: deterministic mock, replay cache, and live HTTP.
 
-A backend turns prompt text plus decode parameters into reply text. The
-mock is a pure function of (seed, prompt text, decode params); it parses
-the structured sections that the protocol templates produce and plants a
-recoverable pattern in its answer accuracy, so matching quality can be
-verified entirely offline.
+A backend turns prompt text plus a decode seed into reply text; every call
+decodes greedily with one reply budget. The mock is a pure function of
+(its own seed, prompt text, decode seed); it parses the structured sections
+that the protocol templates produce and plants a recoverable pattern in its
+answer accuracy, so matching quality can be verified entirely offline.
 """
 
 from __future__ import annotations
@@ -16,9 +16,14 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Protocol
 
+from .gp import check_types
 from .hashing import sha256_hex, stable_u64, unit_uniform
 from .personas import default_prompts
 from .writer import write_file
+
+
+class ConfigError(ValueError):
+    """Inconsistent or unknown settings: a variant's or the live endpoint's."""
 
 
 class TransportError(RuntimeError):
@@ -35,24 +40,15 @@ MAX_TOKENS = 256
 _CACHE_KEY_HEAD = f"t={TEMPERATURE!r}|n={MAX_TOKENS}|s="
 
 
-@dataclass(frozen=True)
-class DecodeParams:
-    """Decode settings of one call; only the seed varies.
-
-    ``seed`` names the sampling stream; the mock folds it into its draws so
-    repeated runs can be decorrelated on purpose (e.g. difficulty profiling).
-    """
-
-    seed: int | None = None
-
-    def cache_key(self) -> str:
-        return f"{_CACHE_KEY_HEAD}{self.seed}"
+def decode_key(seed: int | None) -> str:
+    """A call's decode settings as the text that the mock's draws and the cache's paths hash, e.g. ``t=0.0|n=256|s=7``."""
+    return f"{_CACHE_KEY_HEAD}{seed}"
 
 
 class CompletionBackend(Protocol):
     name: str
 
-    def complete(self, prompt: str, params: DecodeParams) -> str: ...
+    def complete(self, prompt: str, seed: int | None) -> str: ...
 
 
 def mock_correct_label(stem: str, labels: tuple[str, ...]) -> str:
@@ -69,7 +65,7 @@ def mock_correct_label(stem: str, labels: tuple[str, ...]) -> str:
 class MockBackend:
     """Seeded, pure completion oracle with a planted complementarity pattern.
 
-    Replies depend only on (seed, prompt text, decode params). For prompts
+    Replies depend only on (seed, prompt text, decode seed). For prompts
     that show answer options, the reply is correct with probability
     ``clamp(base_difficulty + bonus * complementarity, 0, 1)`` where
     complementarity is 1 iff the prompt's own role section and the partner
@@ -85,7 +81,6 @@ class MockBackend:
     """
 
     def __init__(self, seed: int, base_difficulty: float = 0.4, complementarity_bonus: float = 0.3):
-        self.seed = seed
         self.base_difficulty = base_difficulty
         self.complementarity_bonus = complementarity_bonus
         self.prompts = default_prompts()
@@ -139,15 +134,15 @@ class MockBackend:
         prob = min(1.0, max(0.0, self.base_difficulty + self.complementarity_bonus * complementary))
         return stem, belief, prob, tuple([lab for lab in labels if lab != belief])
 
-    def _answer(self, prompt: str, params: DecodeParams) -> str:
+    def _answer(self, prompt: str, seed: int | None) -> str:
         stem, belief, prob, wrong = self._read_question(prompt)
         if belief is None:
             return "I cannot find any options to choose from."
-        seed, key = self._seed_text, params.cache_key()
-        if unit_uniform("draw", seed, key, stem) < prob:
+        mock_seed, key = self._seed_text, decode_key(seed)
+        if unit_uniform("draw", mock_seed, key, stem) < prob:
             choice = belief
         else:
-            choice = wrong[stable_u64("miss", seed, key, stem) % len(wrong)]
+            choice = wrong[stable_u64("miss", mock_seed, key, stem) % len(wrong)]
         return f"Weighing the listed claims against the stated assumptions, option {choice} holds up best.\nAnswer: {choice}"
 
     def _draft(self, prompt: str) -> str:
@@ -175,10 +170,10 @@ class MockBackend:
         lines.append("They weigh each claim against the assumptions before committing.")
         return "\n".join(lines)
 
-    def complete(self, prompt: str, params: DecodeParams) -> str:
+    def complete(self, prompt: str, seed: int | None) -> str:
         p = self.prompts
         if p.question_header in prompt and p.options_header in prompt:
-            return self._answer(prompt, params)
+            return self._answer(prompt, seed)
         if p.partner_draft_header in prompt:
             return self._summary(prompt)
         return self._draft(prompt)
@@ -187,7 +182,7 @@ class MockBackend:
 class CachingBackend:
     """Content-addressed on-disk replay cache around another backend.
 
-    Keys hash (inner backend name, decode params, prompt text); entries live
+    Keys hash (inner backend name, ``decode_key(seed)``, prompt text); entries live
     at ``<root>/<2-hex-prefix>/<hash>``. A cache hit never touches the inner
     backend.
     """
@@ -199,8 +194,8 @@ class CachingBackend:
         self.hits = 0
         self.misses = 0
 
-    def complete(self, prompt: str, params: DecodeParams) -> str:
-        digest = sha256_hex(f"{self.inner.name}\x1f{params.cache_key()}\x1f{prompt}")
+    def complete(self, prompt: str, seed: int | None) -> str:
+        digest = sha256_hex(f"{self.inner.name}\x1f{decode_key(seed)}\x1f{prompt}")
         path = os.path.join(self.root, digest[:2], digest)
         try:
             with open(path, "rb") as f:
@@ -211,7 +206,7 @@ class CachingBackend:
         else:
             self.hits += 1
             return reply
-        reply = self.inner.complete(prompt, params)
+        reply = self.inner.complete(prompt, seed)
         # written whole: a crash mid-write must not leave a truncated entry that replays as a hit
         write_file(path, reply)
         self.misses += 1
@@ -220,12 +215,17 @@ class CachingBackend:
 
 @dataclass(frozen=True)
 class LiveConfig:
-    """Connection settings for an OpenAI-style chat completion endpoint."""
+    """Connection settings for an OpenAI-style chat completion endpoint, checked when built."""
 
     base_url: str
     model: str
     token_env: str = "PEERMATCH_API_TOKEN"
     timeout_s: float = 60.0
+
+    def __post_init__(self) -> None:
+        check_types(self, "live", ConfigError)
+        if self.timeout_s <= 0:  # urllib takes a negative timeout as out of range, and 0 as non-blocking
+            raise ConfigError(f"live: timeout_s must be a positive number, got {self.timeout_s!r}")
 
 
 class HttpBackend:
@@ -235,7 +235,7 @@ class HttpBackend:
         self.config = config
         self.name = f"http/{config.model}"
 
-    def complete(self, prompt: str, params: DecodeParams) -> str:
+    def complete(self, prompt: str, seed: int | None) -> str:
         # imported here: the HTTP stack is most of the package's import time, and only a live call needs it
         import http.client
         import urllib.request
@@ -249,8 +249,8 @@ class HttpBackend:
             "temperature": TEMPERATURE,
             "max_tokens": MAX_TOKENS,
         }
-        if params.seed is not None:
-            payload["seed"] = params.seed
+        if seed is not None:
+            payload["seed"] = seed
         request = urllib.request.Request(
             self.config.base_url.rstrip("/") + "/chat/completions",
             data=json.dumps(payload).encode("utf-8"),

@@ -9,7 +9,7 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .backends import DecodeParams, LiveConfig, TransportError
+from .backends import LiveConfig, TransportError
 from .corpus import (
     difficulty_profile,
     fixture_corpus_path,
@@ -17,7 +17,6 @@ from .corpus import (
     load_corpus,
     save_corpus,
 )
-from .gp import check_types
 from .harness import (
     BACKEND_KINDS,
     ConfigError,
@@ -74,10 +73,11 @@ def _read_config(args) -> tuple[list[VariantConfig], str | None, LiveConfig | No
         raise ConfigError(f"{path}: corpus must be a string, got {raw['corpus']!r}")
     live = None
     if "live" in raw:
-        live = LiveConfig(**obj(raw["live"], "live", [f.name for f in fields(LiveConfig)], _required(LiveConfig)))
-        check_types(live, f"{path}: live", ConfigError)
-        if live.timeout_s <= 0:
-            raise ConfigError(f"{path}: live: timeout_s must be a positive number, got {live.timeout_s!r}")
+        live_keys = obj(raw["live"], "live", [f.name for f in fields(LiveConfig)], _required(LiveConfig))
+        try:
+            live = LiveConfig(**live_keys)
+        except ConfigError as exc:  # LiveConfig checks itself; the message names the file too
+            raise ConfigError(f"{path}: {exc}") from None
     shared = {key: raw[key] for key in ("seed", "backend", "train_domains") if key in raw}
     for key, value in obj(raw.get("mock", {}), "mock", MOCK_KEYS).items():
         # an int in float range becomes a float (1 and 1.0 name the same mock); VariantConfig rejects any other value
@@ -138,11 +138,10 @@ def _cmd_profile(args) -> int:
     probe = Learner(id="probe", persona=Persona(0, 0))
     # a generator: each record holds its prompt, so a list of every answer would hold every prompt at once.
     # Exercise-major: one prompt's repeats reach the backend back to back, so the mock reads it once.
-    repeats = [DecodeParams(seed=repeat) for repeat in range(args.repeats)]  # the same for every exercise
     records = (
-        solve_exercise(probe, exercise, backend, params=params, use_persona=False)
+        solve_exercise(probe, exercise, backend, seed=repeat, use_persona=False)
         for exercise in exercises
-        for params in repeats
+        for repeat in range(args.repeats)
     )
     profile = difficulty_profile(exercises, records, args.repeats)
     profile.save(out / "difficulty.csv")

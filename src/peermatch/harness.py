@@ -22,14 +22,14 @@ import numpy as np
 from .backends import (
     CachingBackend,
     CompletionBackend,
-    DecodeParams,
+    ConfigError,
     HttpBackend,
     LiveConfig,
     MockBackend,
     mock_correct_label,
 )
 from .blas import lapack_available
-from .corpus import Exercise, ExerciseBlock, group_by_domain, make_synthetic_corpus
+from .corpus import CorpusError, Exercise, ExerciseBlock, group_by_domain, make_synthetic_corpus
 from .features import GAIN_BASELINES, EmbeddingProvider, HashingEmbedder, ScoreIndex, build_dataset, index_scores
 from .gp import GpFitConfig, GpRegressor, check_types
 from .hashing import stable_u64
@@ -69,10 +69,6 @@ REQUIRED_TEST_CATEGORIES = CATEGORY_ORDER[:-1]  # every report category but "Tot
 # recovery-grade library default, GpFitConfig(), so a 7-variant suite stays in its runtime budget.
 SUITE_GP_FIT = GpFitConfig(restarts=1, max_iters=100, tol=1e-6)
 SUITE_NN_FIT = MlpConfig()
-
-
-class ConfigError(ValueError):
-    """Inconsistent or unknown variant configuration."""
 
 
 @dataclass(frozen=True)
@@ -245,15 +241,15 @@ class _SuiteWork:
 
 
 class _MemoBackend:
-    """Remembers each reply under (backend name, decode params, prompt)."""
+    """Remembers each reply under (backend name, decode seed, prompt)."""
 
     def __init__(self, inner: CompletionBackend, work: _SuiteWork):
         self.inner = inner
         self.name = inner.name
         self._once = work.once
 
-    def complete(self, prompt: str, params: DecodeParams) -> str:
-        return self._once(("call", self.name, params, prompt), lambda: self.inner.complete(prompt, params))
+    def complete(self, prompt: str, seed: int | None) -> str:
+        return self._once(("call", self.name, seed, prompt), lambda: self.inner.complete(prompt, seed))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -273,6 +269,9 @@ class _MemoEmbedder:
 
 
 def _split_blocks(cfg: VariantConfig, corpus: Sequence[Exercise]) -> tuple[list[ExerciseBlock], list[ExerciseBlock]]:
+    ids = [e.id for e in corpus]
+    if len(set(ids)) < len(ids):  # jobs and scores are keyed on the id: two exercises sharing one were answered as one
+        raise CorpusError(f"exercise id(s) {sorted({i for i in ids if ids.count(i) > 1})} repeated; each needs its own id")
     blocks = group_by_domain(corpus)
     known = {b.domain for b in blocks}
     for domain in cfg.train_domains:
@@ -353,9 +352,14 @@ def run_variant(
     variants share every test pair they have in common. Without ``shared``
     the variant makes its own, which changes no output. A cache backend
     keeps its replay cache in ``out_dir / "cache"``. ``out_dir`` is made
-    before the first call, so an unusable one costs no call.
+    before the first call, so an unusable one costs no call. A repeated
+    exercise id (``CorpusError``) and a cohort key that is not its learner's
+    id (``ConfigError``) are rejected before that, naming the ids.
     """
     cohort = cohort or default_cohort()
+    for key, learner in sorted(cohort.items()):  # records carry the learner's id, and partners are found by it
+        if key != learner.id:
+            raise ConfigError(f"{cfg.name}: cohort key {key!r} holds learner {learner.id!r}; a key is its learner's id")
     train_blocks, test_blocks = _split_blocks(cfg, corpus)
     out = Path(out_dir) if out_dir is not None else None
     work = shared or _SuiteWork()
@@ -390,11 +394,11 @@ def run_variant(
         partner_id = partner.id if partner is not None else None
 
         def make() -> tuple[ResponseRecord, tuple[str, ...]]:
-            params = DecodeParams(seed=_decode_seed(learner.id, exercise.id))
+            seed = _decode_seed(learner.id, exercise.id)
             if partner is None:
-                record = solve_exercise(learner, exercise, backend, params=params, use_persona=use_persona)
+                record = solve_exercise(learner, exercise, backend, seed=seed, use_persona=use_persona)
             else:
-                record = exchange_and_resolve(learner, partner, exercise, backend, params=params)
+                record = exchange_and_resolve(learner, partner, exercise, backend, seed=seed)
             log = _TranscriptLog()
             write = log.sink(partner_id, exercise.id)
             for event in record.calls:
@@ -510,10 +514,6 @@ def default_suite_configs(**shared) -> list[VariantConfig]:
     ]
 
 
-def _is_baseline(cfg: VariantConfig) -> bool:
-    return not cfg.role_setting and not cfg.co_learning and cfg.regressor == "none"
-
-
 @dataclass(frozen=True, eq=False)
 class SuiteResult:
     table: Table
@@ -531,18 +531,18 @@ def run_suite(
 ) -> SuiteResult:
     """Run every variant sequentially and render both report shapes.
 
-    Each config checked itself when it was built, and the variant names are
-    checked for repeats before the first backend call. The variants share
-    one ``_SuiteWork``: each distinct backend call, protocol job, dataset,
-    fit and stem embedding is computed once per suite. The reports are
-    rendered from the ``results.json`` payload, by the function
-    ``rerender_reports`` uses.
+    Each config checked itself when it was built. The variant names, and in
+    ``run_variant`` the exercise ids and cohort keys, are checked before the
+    first backend call. The variants share one ``_SuiteWork``: each distinct
+    backend call, protocol job, dataset, fit and stem embedding is computed
+    once per suite. The reports are rendered from the ``results.json``
+    payload, by the function ``rerender_reports`` uses.
     """
     names = [cfg.name for cfg in configs]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ConfigError(f"suite: variant name(s) {repeated} repeated; each variant writes its own reports")
-    baselines = [cfg.name for cfg in configs if _is_baseline(cfg)]
+    baselines = [c.name for c in configs if not c.role_setting and not c.co_learning and c.regressor == "none"]
     if not baselines:
         raise ConfigError("suite needs a baseline variant (no roles, no co-learning)")
     cohort = cohort or default_cohort()

@@ -9,7 +9,7 @@ re-answers the full question with the summary attached. Option text never
 enters steps 1-3, and only the anchoring learner is scored; run the
 protocol again with roles swapped for the symmetric record. Each entry
 point returns one ``ResponseRecord`` that carries the job's backend calls
-in order.
+in order. Every call of a job passes the job's decode seed to the backend.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .backends import CompletionBackend, DecodeParams, TransportError
+from .backends import CompletionBackend, TransportError
 from .corpus import Exercise, strip_options
 from .hashing import sha256_hex
 from .personas import Learner, PromptSet, default_prompts
@@ -166,10 +166,10 @@ def _require_answerable(exercise: Exercise) -> None:
         raise ProtocolError(f"exercise {exercise.id!r} carries no options")
 
 
-def _call(backend: CompletionBackend, params: DecodeParams, step: int, actor_id: str, prompt: str) -> CallEvent:
+def _call(backend: CompletionBackend, seed: int | None, step: int, actor_id: str, prompt: str) -> CallEvent:
     """One backend call; a TransportError leaves tagged with the step it failed in."""
     try:
-        reply = backend.complete(prompt, params)
+        reply = backend.complete(prompt, seed)
     except TransportError as exc:
         exc.step = step
         raise
@@ -187,14 +187,14 @@ def solve_exercise(
     exercise: Exercise,
     backend: CompletionBackend,
     *,
-    params: DecodeParams = DecodeParams(),
+    seed: int | None = None,
     use_persona: bool = True,
 ) -> ResponseRecord:
     """Independent answering; the score is 1 iff the parsed choice equals the key."""
     _require_answerable(exercise)
     prompts = default_prompts()
     system_text = prompts.system(learner.persona) if use_persona else prompts.neutral_system
-    answer = _call(backend, params, 0, learner.id, _solo_prompt(system_text, exercise))
+    answer = _call(backend, seed, 0, learner.id, _solo_prompt(system_text, exercise))
     return _scored(learner.id, None, exercise, (answer,))
 
 
@@ -204,7 +204,7 @@ def exchange_and_resolve(
     exercise: Exercise,
     backend: CompletionBackend,
     *,
-    params: DecodeParams = DecodeParams(),
+    seed: int | None = None,
 ) -> ResponseRecord:
     """Run the four-step pair protocol and score the anchoring learner."""
     if learner.id == partner.id:
@@ -214,9 +214,9 @@ def exchange_and_resolve(
     bare = strip_options(exercise)
     own_system = prompts.system(learner.persona)
     partner_system = prompts.system(partner.persona)
-    own_draft = _call(backend, params, 1, learner.id, draft_prompt(prompts, own_system, bare))
-    partner_draft = _call(backend, params, 1, partner.id, draft_prompt(prompts, partner_system, bare))
+    own_draft = _call(backend, seed, 1, learner.id, draft_prompt(prompts, own_system, bare))
+    partner_draft = _call(backend, seed, 1, partner.id, draft_prompt(prompts, partner_system, bare))
     # step 2, the exchange, hands partner_draft to the learner and makes no call
-    summary = _call(backend, params, 3, learner.id, summary_prompt(prompts, own_system, bare, partner_draft.reply))
-    final = _call(backend, params, 4, learner.id, reanswer_prompt(prompts, own_system, exercise, summary.reply))
+    summary = _call(backend, seed, 3, learner.id, summary_prompt(prompts, own_system, bare, partner_draft.reply))
+    final = _call(backend, seed, 4, learner.id, reanswer_prompt(prompts, own_system, exercise, summary.reply))
     return _scored(learner.id, partner.id, exercise, (own_draft, partner_draft, summary, final))

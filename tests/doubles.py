@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 
-from peermatch.backends import DecodeParams
 from peermatch.corpus import Exercise
 from peermatch.protocol import ResponseRecord
 
@@ -16,8 +15,8 @@ class FunctionBackend:
         self._fn = fn
         self.name = name
 
-    def complete(self, prompt: str, params: DecodeParams) -> str:
-        return self._fn(prompt, params)
+    def complete(self, prompt: str, seed: int | None) -> str:
+        return self._fn(prompt, seed)
 
 
 class TornWriter(io.BufferedWriter):

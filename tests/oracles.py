@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from peermatch import gp
-from peermatch.backends import DecodeParams, mock_correct_label
+from peermatch.backends import mock_correct_label
 from peermatch.blas import cho_solve, dpotri, one_blas_thread
 from peermatch.gp import JITTER_LADDER, FitError, KernelParams, SingularMatrixError
 from peermatch.hashing import stable_u64, unit_uniform
@@ -216,13 +216,13 @@ def reference_mock_answer(
     stem: str,
     labels: tuple[str, ...],
     complementary: int,
-    params: DecodeParams,
+    decode_seed: int | None,
 ) -> str:
     """The mock backend's reply to a prompt that shows options, every quantity computed on this call."""
     belief = mock_correct_label(stem, labels)
     prob = base_difficulty + complementarity_bonus * complementary
     prob = min(1.0, max(0.0, prob))
-    seed, key = str(seed), params.cache_key()
+    seed, key = str(seed), f"t=0.0|n=256|s={decode_seed}"
     if unit_uniform("draw", seed, key, stem) < prob:
         choice = belief
     else:

@@ -207,7 +207,7 @@ def test_gp_suite_without_bindings_or_scipy_stops_before_any_backend_call(monkey
     monkeypatch.setattr(blas, "_lapack", lambda: None)
     monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: None if name == "scipy" else find_spec(name, *args))
     calls = []
-    monkeypatch.setattr(MockBackend, "complete", lambda self, prompt, params: calls.append(prompt))
+    monkeypatch.setattr(MockBackend, "complete", lambda self, prompt, seed: calls.append(prompt))
     assert not blas.lapack_available()
     out = tmp_path / "out"
     assert cli.main(["suite", "--config", str(_suite_config(tmp_path)), "--out", str(out)]) == 2

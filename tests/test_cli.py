@@ -64,9 +64,9 @@ def test_profile_answers_each_exercise_at_every_repeat_seed_in_turn(tmp_path, ca
     save_corpus(load_corpus(fixture_corpus_path())[:4], corpus)
     calls, solve_exercise = [], cli.solve_exercise
 
-    def recorded(learner, exercise, backend, *, params, use_persona):
-        calls.append((exercise.id, params.seed))
-        return solve_exercise(learner, exercise, backend, params=params, use_persona=use_persona)
+    def recorded(learner, exercise, backend, *, seed, use_persona):
+        calls.append((exercise.id, seed))
+        return solve_exercise(learner, exercise, backend, seed=seed, use_persona=use_persona)
 
     monkeypatch.setattr(cli, "solve_exercise", recorded)
     assert main(["profile", str(corpus), "--repeats", "6", "--seed", "1", "--out", str(tmp_path / "out")]) == 0
@@ -128,7 +128,7 @@ def test_simulate_rejects_bare_string_train_domains(tmp_path, capsys):
     assert "train_domains must be a list of domain names, got the string 'number_theory'" in err
 
 
-def _no_backend_call(backend, prompt, params):
+def _no_backend_call(backend, prompt, seed):
     raise AssertionError("an error in the command's input must stop the run before any backend call")
 
 
@@ -301,9 +301,9 @@ def test_simulate_config_with_any_value_in_one_key_exits_0_or_2(tmp_path, monkey
     target[key] = value
     calls = []
 
-    def complete(backend, prompt, params):
+    def complete(backend, prompt, seed):
         calls.append(prompt)
-        return _complete(backend, prompt, params)
+        return _complete(backend, prompt, seed)
 
     with tempfile.TemporaryDirectory(dir=tmp_path) as run, mock.patch.object(MockBackend, "complete", complete):
         path = f"{run}/config.json"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from peermatch import gp, harness
 from peermatch.backends import LiveConfig, MockBackend, TransportError, mock_correct_label
-from peermatch.corpus import make_synthetic_corpus
+from peermatch.corpus import CorpusError, make_synthetic_corpus
 from peermatch.gp import GpFitConfig
 from peermatch.harness import (
     ConfigError,
@@ -65,7 +65,7 @@ def cfg_with(name, **kw):
 class ExplodingBackend:
     name = "exploding"
 
-    def complete(self, prompt, params):
+    def complete(self, prompt, seed):
         raise AssertionError("backend must not be called")
 
 
@@ -75,9 +75,9 @@ class RecordingBackend:
         self.name = f"recording({inner.name})"
         self.prompts = []
 
-    def complete(self, prompt, params):
+    def complete(self, prompt, seed):
         self.prompts.append(prompt)
-        return self.inner.complete(prompt, params)
+        return self.inner.complete(prompt, seed)
 
 
 class TestConfigValidation:
@@ -128,6 +128,35 @@ class TestConfigValidation:
         backend = ExplodingBackend()
         with pytest.raises(ConfigError):
             run_variant(cfg_with("bad", regressor="gp", pareto="none"), small_corpus(), backend=backend)
+
+    @pytest.mark.parametrize("runner", ["run_variant", "run_suite"])
+    def test_a_repeated_exercise_id_is_rejected_before_any_backend_call(self, runner, monkeypatch):
+        # jobs are remembered by exercise id, so two exercises sharing one were answered as one
+        corpus = small_corpus()
+        corpus[1] = replace(corpus[1], id=corpus[0].id)
+        corpus[4] = replace(corpus[4], id="circuit_design/2")
+        monkeypatch.setattr(MockBackend, "complete", ExplodingBackend.complete)
+        message = r"exercise id\(s\) \['circuit_design/2', 'number_theory/0'\] repeated"
+        with pytest.raises(CorpusError, match=message):
+            if runner == "run_variant":
+                run_variant(cfg_with("solo", co_learning=False), corpus)
+            else:
+                run_suite(default_suite_configs(seed=3), corpus)
+
+    @pytest.mark.parametrize("runner", ["solo", "gp-global", "run_suite"])
+    def test_a_cohort_key_that_is_not_its_learners_id_is_rejected_before_any_backend_call(self, runner, monkeypatch):
+        # records carry the learner's id and matched variants look partners up by it
+        cohort = default_cohort()
+        cohort["L9"] = cohort.pop("L0")
+        monkeypatch.setattr(MockBackend, "complete", ExplodingBackend.complete)
+        message = r"cohort key 'L9' holds learner 'L0'"
+        with pytest.raises(ConfigError, match=message):
+            if runner == "solo":
+                run_variant(cfg_with("solo", co_learning=False), small_corpus(), cohort)
+            elif runner == "gp-global":
+                run_variant(cfg_with("gp-global", regressor="gp", pareto="global"), small_corpus(), cohort)
+            else:
+                run_suite(default_suite_configs(seed=3), small_corpus(), cohort)
 
 
 class TestSoloVariants:
@@ -329,10 +358,10 @@ class TestSuite:
     def test_suite_error_is_reraised_with_its_attributes(self, monkeypatch, prompts):
         mock = MockBackend(seed=3)
 
-        def drop_summaries(prompt, params):
+        def drop_summaries(prompt, seed):
             if prompts.partner_draft_header in prompt:
                 raise TransportError("endpoint dropped the connection")
-            return mock.complete(prompt, params)
+            return mock.complete(prompt, seed)
 
         monkeypatch.setattr(harness, "build_backend", lambda *a, **kw: FunctionBackend(drop_summaries))
         configs = [cfg_with("random-pair"), self._tiny_configs()[0]]
@@ -342,7 +371,7 @@ class TestSuite:
         assert str(info.value) == "variant 'random-pair': endpoint dropped the connection"
 
     def test_suite_reraises_exceptions_with_richer_constructors(self, monkeypatch):
-        def undecodable(prompt, params):
+        def undecodable(prompt, seed):
             return b"\xff".decode("utf-8")
 
         monkeypatch.setattr(harness, "build_backend", lambda *a, **kw: FunctionBackend(undecodable))
@@ -547,13 +576,13 @@ class TestSharedWork:
 
     @staticmethod
     def _counted_suite(monkeypatch, out, backend):
-        """Backend calls per (prompt, params) and protocol jobs per job key of the seed-42 suite."""
+        """Backend calls per (prompt, seed) and protocol jobs per job key of the seed-42 suite."""
         calls, jobs = Counter(), Counter()
         complete, solve, exchange = MockBackend.complete, harness.solve_exercise, harness.exchange_and_resolve
 
-        def counted(self, prompt, params):
-            calls[prompt, params] += 1
-            return complete(self, prompt, params)
+        def counted(self, prompt, seed):
+            calls[prompt, seed] += 1
+            return complete(self, prompt, seed)
 
         def counted_solve(learner, exercise, backend, **kwargs):
             jobs[learner.id, None, exercise.id, kwargs["use_persona"]] += 1
@@ -605,11 +634,11 @@ def test_interrupted_cache_suite_resumes_exactly(tmp_path, monkeypatch, fast_fit
     paid, fail_after, variant_starts = [0], [None], {}
     complete, run_one = MockBackend.complete, harness.run_variant
 
-    def paid_call(self, prompt, params):
+    def paid_call(self, prompt, seed):
         if paid[0] == fail_after[0]:
             raise TransportError("endpoint went away")
         paid[0] += 1
-        return complete(self, prompt, params)
+        return complete(self, prompt, seed)
 
     def marked_variant(cfg, *args, **kwargs):
         variant_starts[cfg.name] = paid[0]

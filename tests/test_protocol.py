@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from peermatch.backends import DecodeParams, MockBackend, TransportError
+from peermatch.backends import MockBackend, TransportError
 from peermatch.hashing import sha256_hex
 from peermatch.protocol import (
     CallEvent,
@@ -88,7 +88,7 @@ def test_solve_scores_against_key(exercise, learner):
 def test_solo_record_holds_its_one_call(exercise, learner):
     seen = []
 
-    def capture(prompt, params):
+    def capture(prompt, seed):
         seen.append(prompt)
         return "Answer: B"
 
@@ -145,9 +145,8 @@ def test_solve_requires_options(exercise, learner):
 
 def test_solve_deterministic_under_mock(exercise, learner):
     backend = MockBackend(seed=5)
-    params = DecodeParams(seed=2)
-    first = solve_exercise(learner, exercise, backend, params=params)
-    second = solve_exercise(learner, exercise, backend, params=params)
+    first = solve_exercise(learner, exercise, backend, seed=2)
+    second = solve_exercise(learner, exercise, backend, seed=2)
     assert first == second
 
 
@@ -162,7 +161,7 @@ def test_exchange_transcript_shape(exercise, learner, partner):
 def test_sink_sees_all_calls(exercise, learner, partner):
     seen = []
 
-    def logging(prompt, params):
+    def logging(prompt, seed):
         seen.append(prompt)
         return f"reply {len(seen)}"
 
@@ -182,7 +181,7 @@ def test_exchange_steps_1_to_3_are_option_free(exercise, learner, partner):
 
 
 def test_exchange_scripted_step4_key(exercise, learner, partner, prompts):
-    def script(prompt, params):
+    def script(prompt, seed):
         if prompts.options_header in prompt:
             return "Answer: B"
         return "some draft text"
@@ -200,7 +199,7 @@ def test_exchange_rejects_self_pairing(exercise, learner):
 def test_transport_error_carries_step(exercise, learner, partner):
     calls = {"n": 0}
 
-    def flaky(prompt, params):
+    def flaky(prompt, seed):
         calls["n"] += 1
         if calls["n"] == 3:  # the step-3 summary call
             raise TransportError("socket closed")
@@ -213,7 +212,6 @@ def test_transport_error_carries_step(exercise, learner, partner):
 
 def test_exchange_deterministic_under_mock(exercise, learner, partner):
     backend = MockBackend(seed=9)
-    params = DecodeParams(seed=1)
-    a = exchange_and_resolve(learner, partner, exercise, backend, params=params)
-    b = exchange_and_resolve(learner, partner, exercise, backend, params=params)
+    a = exchange_and_resolve(learner, partner, exercise, backend, seed=1)
+    b = exchange_and_resolve(learner, partner, exercise, backend, seed=1)
     assert a == b

@@ -1,4 +1,5 @@
-"""Every entry point that the benchmark's tracer wraps, and every name the benchmark imports, still resolves.
+"""Every entry point that the benchmark's tracer wraps, every name the benchmark imports, and every name the
+package exports still resolves.
 
 ``perfbench/tracer.py`` replaces these functions by name only when a traced
 benchmark run starts, and ``perfbench/run.py`` and ``perfbench/child.py``
@@ -14,6 +15,7 @@ import math
 import sys
 from pathlib import Path
 
+import peermatch
 from peermatch.harness import SUITE_GP_FIT
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -71,3 +73,9 @@ def test_the_suite_gp_init_the_benchmark_reads_is_three_positive_floats():
     init = SUITE_GP_FIT.init
     assert isinstance(init, tuple) and len(init) == 3
     assert all(type(v) is float and 0.0 < v < math.inf for v in init), init
+
+
+def test_every_name_the_package_exports_resolves():
+    assert len(peermatch.__all__) == len(set(peermatch.__all__))
+    missing = [name for name in peermatch.__all__ if not hasattr(peermatch, name)]
+    assert not missing, f"names in peermatch.__all__ that do not resolve: {missing}"
